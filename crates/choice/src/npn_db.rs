@@ -43,7 +43,7 @@
 
 use crate::strategies::{claim_subnetwork, import_subnetwork, synthesize, SynthesisStrategy};
 use mch_logic::{
-    npn_canonical, npn_semi_canonical, ClaimLog, Network, NetworkKind, NpnCanonical, ShardedStrash,
+    npn_semi_canonical, ClaimLog, Network, NetworkKind, NpnCanonical, ShardedStrash,
     Signal, TruthTable,
 };
 use std::collections::HashMap;
@@ -262,17 +262,14 @@ impl NpnDatabase {
     }
 
     /// The NPN canonical form the database keys by: exact canonicalisation up
-    /// to five variables, the cheaper semi-canonical form above.
+    /// to five variables, the cheaper semi-canonical form above (the split
+    /// [`npn_semi_canonical`] makes).
     ///
     /// Exposed so callers planning several emissions of the *same* function
     /// (one per strategy entry) can canonicalise once and reuse the result
     /// through [`plan_with_canon`](NpnDatabase::plan_with_canon).
     pub fn canonicalize(function: &TruthTable) -> NpnCanonical {
-        if function.num_vars() <= 5 {
-            npn_canonical(function)
-        } else {
-            npn_semi_canonical(function)
-        }
+        npn_semi_canonical(function)
     }
 
     /// Plans the emission of `function` over `leaves` without touching the

@@ -504,7 +504,7 @@ impl TruthTable {
 
 /// Projection patterns for the six inline variables: `VAR_PATTERNS[v]` has bit
 /// `i` set iff bit `v` of `i` is set.
-const VAR_PATTERNS: [u64; 6] = [
+pub(crate) const VAR_PATTERNS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,
