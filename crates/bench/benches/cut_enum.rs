@@ -60,6 +60,7 @@ fn main() {
         10
     };
     let circuits = gather_circuits();
+    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let mut c = Criterion::new();
     let mut rows: Vec<Row> = Vec::new();
     for (name, net) in &circuits {
@@ -89,8 +90,8 @@ fn main() {
         / rows.len() as f64)
         .exp();
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"cut_enum6\",\n  \"params\": {\"cut_size\": 6, \"cut_limit\": 8},\n  \"circuits\": [\n",
+    let mut json = format!(
+        "{{\n  \"bench\": \"cut_enum6\",\n  \"params\": {{\"cut_size\": 6, \"cut_limit\": 8}},\n  \"host_cpus\": {host_cpus},\n  \"circuits\": [\n",
     );
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(

@@ -413,6 +413,11 @@ fn leaf_subset(a: &ProtoCut, b: &ProtoCut) -> bool {
 /// [`CutSet::insert`] semantics on the leaf sets alone. Cost estimates are
 /// computed only once a candidate survives the dominance filter, so rejected
 /// merges never pay the per-leaf cost loop.
+///
+/// One scan answers both questions: whether a kept proto dominates the
+/// candidate (then the list is left untouched), and whether the candidate
+/// dominates any kept proto. Only in the second case does `retain` make
+/// another pass to drop them, so the common insertion is a single scan.
 #[allow(clippy::too_many_arguments)]
 fn proto_insert(
     protos: &mut Vec<ProtoCut>,
@@ -429,10 +434,16 @@ fn proto_insert(
         costs: CutCosts::ZERO,
         src,
     };
-    if protos.iter().any(|p| leaf_subset(p, &cand)) {
-        return;
+    let mut dominates_some = false;
+    for p in protos.iter() {
+        if leaf_subset(p, &cand) {
+            return;
+        }
+        dominates_some |= leaf_subset(&cand, p);
     }
-    protos.retain(|p| !leaf_subset(&cand, p));
+    if dominates_some {
+        protos.retain(|p| !leaf_subset(&cand, p));
+    }
     protos.push(ProtoCut {
         costs: proto_costs(&leaves, node_costs, fanout_est, model),
         ..cand
@@ -511,15 +522,18 @@ impl NodeScratch {
 }
 
 /// Read-only view of the enumeration state a node's kernel needs: the cut
-/// arena, the per-node spans into it and the per-node best cost estimates.
-/// Every access the kernel performs through this view is to *fanin* data,
-/// i.e. to nodes of strictly smaller topological level — which is what makes
-/// processing all nodes of one level in parallel safe.
+/// arena, the per-node spans into it and the per-node best cost estimates,
+/// plus the live-gate mask of a partial enumeration (`None` enumerates every
+/// gate). Every access the kernel performs through this view is to the node
+/// itself or to *fanin* data, i.e. to nodes of strictly smaller topological
+/// level — which is what makes processing all nodes of one level in parallel
+/// safe.
 #[derive(Copy, Clone)]
 pub(crate) struct EnumView<'a> {
     pub(crate) arena: &'a [Cut],
     pub(crate) spans: &'a [(u32, u32)],
     pub(crate) node_costs: &'a [CutCosts],
+    pub(crate) live: Option<&'a [bool]>,
 }
 
 /// Enumerates the cut set of one gate: cross product of the fanins' cuts,
@@ -528,7 +542,9 @@ pub(crate) struct EnumView<'a> {
 ///
 /// The resulting cuts are left in `scratch.final_cuts` (cleared on entry) and
 /// the node's best arrival/area-flow estimates are returned; the caller owns
-/// writing both into its arena/spans/costs tables. Shared verbatim by the
+/// writing both into its arena/spans/costs tables. A gate outside the view's
+/// live mask gets no cuts at all (not even the trivial one) and zero
+/// estimates. Shared verbatim by the
 /// serial driver ([`enumerate_cuts_with_model`]) and the level-parallel
 /// driver ([`crate::enumerate_cuts_threaded`]), so the two cannot drift
 /// apart.
@@ -549,6 +565,9 @@ pub(crate) fn enumerate_node(
     let node_costs = view.node_costs;
     protos.clear();
     final_cuts.clear();
+    if view.live.is_some_and(|live| !live[id.index()]) {
+        return CutCosts::ZERO;
+    }
     let span_of = |f: Signal, spans: &[(u32, u32)]| {
         let (s, l) = spans[f.node().index()];
         (s as usize, l as usize)
@@ -717,6 +736,19 @@ pub fn enumerate_cuts_with_model(
     params: &CutParams,
     model: &CutCostModel,
 ) -> NetworkCuts {
+    enumerate_serial(network, params, model, None)
+}
+
+/// The serial driver behind [`enumerate_cuts_with_model`] and the serial
+/// fallback of the threaded entry points: every gate in id order, or only
+/// the gates `live` marks, the rest getting empty spans. Fanout estimates
+/// always count every gate.
+pub(crate) fn enumerate_serial(
+    network: &Network,
+    params: &CutParams,
+    model: &CutCostModel,
+    live: Option<&[bool]>,
+) -> NetworkCuts {
     let fanout_est = fanout_estimates(network);
     let (mut arena, mut spans) = seed_arena(network);
     let mut node_costs = vec![CutCosts::ZERO; network.len()];
@@ -734,6 +766,7 @@ pub fn enumerate_cuts_with_model(
                 arena: &arena,
                 spans: &spans,
                 node_costs: &node_costs,
+                live,
             },
             &mut scratch,
         );
@@ -769,6 +802,47 @@ mod tests {
         n.add_output(s);
         n.add_output(co);
         (n, s, co)
+    }
+
+    #[test]
+    fn single_pass_proto_insert_matches_the_two_pass_filter() {
+        // The two-pass filter the fused scan replaced: reject when a kept
+        // proto dominates, else drop every kept proto the candidate dominates.
+        fn insert_reference(protos: &mut Vec<LeafBuf>, cand: LeafBuf) {
+            let sig = |l: &LeafBuf| l.iter().fold(0u64, |acc, n| acc | 1 << (n.index() % 64));
+            let subset = |a: &LeafBuf, b: &LeafBuf| {
+                crate::cut::sorted_leaf_subset(a, sig(a), b, sig(b))
+            };
+            if protos.iter().any(|p| subset(p, &cand)) {
+                return;
+            }
+            protos.retain(|p| !subset(&cand, p));
+            protos.push(cand);
+        }
+        let mut rng = mch_logic::Prng::seed_from_u64(0xD0);
+        let node_costs = vec![CutCosts::ZERO; 80];
+        let fanout_est = vec![1.0f32; 80];
+        let model = CutCostModel::unit();
+        for _ in 0..400 {
+            let mut fast: Vec<ProtoCut> = Vec::new();
+            let mut reference: Vec<LeafBuf> = Vec::new();
+            for _ in 0..40 {
+                // Leaves drawn from a small id range so subsets are common;
+                // ids above 64 exercise signature aliasing.
+                let size = rng.gen_range(1..5);
+                let mut ids: Vec<NodeId> =
+                    (0..size).map(|_| NodeId::from_index(rng.gen_range(1..10) * 7)).collect();
+                ids.sort();
+                ids.dedup();
+                let leaves = LeafBuf::from_slice(&ids);
+                let signature = ids.iter().fold(0u64, |acc, n| acc | 1 << (n.index() % 64));
+                proto_insert(&mut fast, leaves, signature, [0; 3], &node_costs, &fanout_est, &model);
+                insert_reference(&mut reference, leaves);
+                let kept: Vec<&[NodeId]> = fast.iter().map(|p| p.leaves.as_slice()).collect();
+                let expect: Vec<&[NodeId]> = reference.iter().map(|l| l.as_slice()).collect();
+                assert_eq!(kept, expect);
+            }
+        }
     }
 
     #[test]

@@ -45,9 +45,9 @@
 //! outer loop already parallelizes across circuits.
 
 use crate::enumeration::{
-    enumerate_node, fanout_estimates, seed_arena, EnumView, NodeScratch,
+    enumerate_node, enumerate_serial, fanout_estimates, seed_arena, EnumView, NodeScratch,
 };
-use crate::{enumerate_cuts_with_model, Cut, CutCostModel, CutCosts, CutParams, NetworkCuts};
+use crate::{Cut, CutCostModel, CutCosts, CutParams, NetworkCuts};
 use mch_logic::{levelize, Network, NodeId};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -687,7 +687,7 @@ struct ShardCuts {
     cuts: Vec<Cut>,
 }
 
-/// [`enumerate_cuts_with_model`] sharded over `threads` workers, one
+/// [`crate::enumerate_cuts_with_model`] sharded over `threads` workers, one
 /// topological level at a time.
 ///
 /// The result is byte-identical to the serial driver's — same cuts, same
@@ -701,12 +701,48 @@ pub fn enumerate_cuts_threaded(
     model: &CutCostModel,
     threads: usize,
 ) -> NetworkCuts {
+    enumerate_threaded(network, params, model, threads, None)
+}
+
+/// [`enumerate_cuts_threaded`] restricted to the gates a consumer will read:
+/// gates with `live[id]` set get their cut sets exactly as full enumeration
+/// computes them, every other gate gets an empty span and zero cost
+/// estimates.
+///
+/// `live` must be closed under fan-in — every fanin of a live gate is live —
+/// because a live gate's cuts are built from its fanins' cuts. The fanout
+/// estimates behind area flow still count the fanins of *every* gate, live or
+/// not, so the cuts of live gates are ranked exactly as in full enumeration.
+/// Serial and threaded runs stay byte-identical (see
+/// [`NetworkCuts::identical`]).
+///
+/// # Panics
+///
+/// Panics if `live` does not have one entry per node of `network`.
+pub fn enumerate_live_cuts(
+    network: &Network,
+    params: &CutParams,
+    model: &CutCostModel,
+    threads: usize,
+    live: &[bool],
+) -> NetworkCuts {
+    assert_eq!(live.len(), network.len(), "one live flag per node");
+    enumerate_threaded(network, params, model, threads, Some(live))
+}
+
+fn enumerate_threaded(
+    network: &Network,
+    params: &CutParams,
+    model: &CutCostModel,
+    threads: usize,
+    live: Option<&[bool]>,
+) -> NetworkCuts {
     if threads <= 1 || WorkerPool::is_worker() {
-        return enumerate_cuts_with_model(network, params, model);
+        return enumerate_serial(network, params, model, live);
     }
     let levels = levelize(network);
     if levels.max_width() < MIN_PARALLEL_LEVEL {
-        return enumerate_cuts_with_model(network, params, model);
+        return enumerate_serial(network, params, model, live);
     }
     let fanout_est = fanout_estimates(network);
     let (arena, spans) = seed_arena(network);
@@ -737,6 +773,7 @@ pub fn enumerate_cuts_threaded(
                         arena: &state.arena,
                         spans: &state.spans,
                         node_costs: &state.node_costs,
+                        live,
                     },
                     scratch,
                 );
@@ -804,6 +841,7 @@ fn canonicalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::enumerate_cuts_with_model;
     use mch_logic::{Network, NetworkKind, Prng, Signal};
 
     /// A wide, layered random network (every level far above the sharding

@@ -379,8 +379,33 @@ impl TruthTable {
 
     /// Shrinks the table onto its support, returning the reduced table and the
     /// support variables (in ascending order) it now ranges over.
+    ///
+    /// # Cost
+    ///
+    /// The mappers call this on every cut of every original gate, so inline
+    /// tables (at most six variables) never walk their minterms: a table whose
+    /// support is full comes back as a copy, and otherwise each support
+    /// variable is moved down into place with adjacent-variable swaps (five
+    /// bitwise operations each, at most nine swaps) before one final mask.
+    /// The support itself costs one cofactor comparison per variable. Wider
+    /// tables, which never occur on the cut path, walk their `2^s` shrunk
+    /// minterms one by one.
     pub fn shrink_to_support(&self) -> (TruthTable, Vec<usize>) {
         let support = self.support();
+        if let Repr::Small(w) = self.repr {
+            if support.len() == self.num_vars() {
+                return (self.clone(), support);
+            }
+            // Variables `new..old` hold only don't-cares when support variable
+            // `old` is moved down, so bubbling it past them keeps the function.
+            let mut t = w;
+            for (new, &old) in support.iter().enumerate() {
+                for v in (new..old).rev() {
+                    t = swap_adjacent_u64(t, v);
+                }
+            }
+            return (TruthTable::from_u64(support.len(), t), support);
+        }
         let mut t = TruthTable::zeros(support.len());
         for i in 0..t.num_bits() {
             let mut full = 0usize;
@@ -721,6 +746,72 @@ mod tests {
         assert_eq!(support, vec![1, 3]);
         assert_eq!(g.num_vars(), 2);
         assert_eq!(g.as_u64(), 0x6);
+    }
+
+    /// The per-minterm shrink the word-level one replaced, kept as its
+    /// reference semantics.
+    fn shrink_to_support_reference(t: &TruthTable) -> (TruthTable, Vec<usize>) {
+        let support = t.support();
+        let mut out = TruthTable::zeros(support.len());
+        for i in 0..out.num_bits() {
+            let mut full = 0usize;
+            for (new, &old) in support.iter().enumerate() {
+                if i & (1 << new) != 0 {
+                    full |= 1 << old;
+                }
+            }
+            out.set_bit(i, t.bit(full));
+        }
+        (out, support)
+    }
+
+    #[test]
+    fn word_shrink_matches_minterm_reference_on_every_small_function() {
+        for vars in 0..=4usize {
+            for w in 0..(1u64 << (1 << vars)) {
+                let t = TruthTable::from_u64(vars, w);
+                assert_eq!(
+                    t.shrink_to_support(),
+                    shrink_to_support_reference(&t),
+                    "vars={vars} w={w:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_shrink_matches_minterm_reference_on_seeded_wide_functions() {
+        // Random 5- and 6-variable functions almost always depend on every
+        // input, so each one is built over a random subset of its variables:
+        // the rest are don't-cares the shrink has to squeeze out.
+        let mut rng = crate::Prng::seed_from_u64(0x5421);
+        let mut with_dont_cares = 0;
+        for round in 0..2_400 {
+            let vars = 5 + round % 2;
+            let mut t = TruthTable::from_u64(vars, rng.next_u64());
+            for v in 0..vars {
+                if rng.gen_bool(0.4) {
+                    t = t.cofactor0(v);
+                }
+            }
+            let (fast, support) = t.shrink_to_support();
+            assert_eq!(
+                (fast, support.clone()),
+                shrink_to_support_reference(&t),
+                "vars={vars} t={t:?}"
+            );
+            with_dont_cares += usize::from(support.len() < vars);
+        }
+        assert!(with_dont_cares >= 1_000, "only {with_dont_cares} had don't-cares");
+    }
+
+    #[test]
+    fn wide_shrink_keeps_the_minterm_path() {
+        let f = TruthTable::var(8, 7).and(&TruthTable::var(8, 2));
+        let (g, support) = f.shrink_to_support();
+        assert_eq!(support, vec![2, 7]);
+        assert_eq!(g, TruthTable::var(2, 0).and(&TruthTable::var(2, 1)));
+        assert_eq!((g, support), shrink_to_support_reference(&f));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use mch_choice::ChoiceNetwork;
 use mch_cut::{
-    enumerate_cuts_threaded, level_parallel, Cut, CutCost, CutCostModel, CutParams, NetworkCuts,
+    enumerate_live_cuts, level_parallel, Cut, CutCost, CutCostModel, CutParams, NetworkCuts,
     MAX_CUT_SIZE,
 };
 use mch_logic::{NodeId, TruthTable};
@@ -146,8 +146,20 @@ pub(crate) fn remap_choice_cut(
 /// computed over representative-level leaves so they compete with structural
 /// cuts on equal terms.
 ///
+/// # Which gates are enumerated
+///
+/// Only the cuts of two sets of gates are ever read: the original gates
+/// (the covering skeleton maps them) and the choice nodes (the transfer
+/// copies their cuts onto representatives). Enumeration therefore runs over
+/// those two sets and their transitive fan-in only, and every other gate of
+/// the mixed network gets an empty span. Those are candidate
+/// structures that were never linked as choices and unlinked snapshot-view
+/// nodes. Dropping them changes no live gate's cuts: the area-flow fanout
+/// estimates still count the fanins of every gate of the mixed network, dead
+/// or not, so the ranking inputs are the same as for full enumeration.
+///
 /// Both phases shard by topological level across `threads` workers:
-/// enumeration through [`mch_cut::enumerate_cuts_threaded`], and the choice
+/// enumeration through [`mch_cut::enumerate_live_cuts`], and the choice
 /// transfer by splitting [`NetworkCuts::extend_node`] into its read-only
 /// ranking half (remap + re-cost + re-rank, run on the workers, one level of
 /// representatives at a time) and its committing half (applied by the
@@ -155,7 +167,8 @@ pub(crate) fn remap_choice_cut(
 /// count — `threads <= 1` runs the same batched schedule inline.
 ///
 /// The returned cut sets are indexed by node id of the mixed network; only
-/// original (representative) nodes are intended to be mapped.
+/// original (representative) nodes are intended to be mapped, and gates
+/// outside the enumerated set above have no cuts.
 pub fn prepare_cuts(
     choice: &ChoiceNetwork,
     cut_size: usize,
@@ -166,8 +179,21 @@ pub fn prepare_cuts(
 ) -> NetworkCuts {
     let params = CutParams::new(cut_size, cut_limit).with_cost(cost);
     let net = choice.network();
-    let cuts = enumerate_cuts_threaded(net, &params, model, threads);
+    let cuts = enumerate_live_cuts(net, &params, model, threads, &live_gates(choice));
+    transfer_choice_cuts(choice, cuts, cut_size, cut_limit, cost, threads)
+}
 
+/// The choice transfer of [`prepare_cuts`] (Algorithm 3, lines 2–8) over
+/// already-enumerated `cuts`.
+fn transfer_choice_cuts(
+    choice: &ChoiceNetwork,
+    cuts: NetworkCuts,
+    cut_size: usize,
+    cut_limit: usize,
+    cost: CutCost,
+    threads: usize,
+) -> NetworkCuts {
+    let net = choice.network();
     // Representatives that actually have choices, grouped by their level in
     // the mixed network: a representative's inherited-cut costs read the
     // node costs of leaves strictly below it, so — exactly as in enumeration
@@ -241,6 +267,32 @@ pub fn prepare_cuts(
     shared
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// The gates of the mixed network whose cuts [`prepare_cuts`] needs: every
+/// original node, every choice node, and everything in the transitive fan-in
+/// of a choice node. Indexed by node id.
+///
+/// The original structure is a prefix of the mixed network closed under
+/// fan-in, and a gate's fanins have smaller ids, so one descending sweep over
+/// the added nodes closes the set.
+pub(crate) fn live_gates(choice: &ChoiceNetwork) -> Vec<bool> {
+    let net = choice.network();
+    let mut live = vec![false; net.len()];
+    live[..choice.original_len()].fill(true);
+    for repr in choice.representatives() {
+        for &(node, _) in choice.choices_of(repr) {
+            live[node.index()] = true;
+        }
+    }
+    for index in (choice.original_len()..net.len()).rev() {
+        if live[index] {
+            for f in net.node(NodeId::from_index(index)).fanins() {
+                live[f.node().index()] = true;
+            }
+        }
+    }
+    live
 }
 
 /// Smallest representative batch worth sharding during choice transfer;
@@ -366,6 +418,129 @@ mod tests {
             crate::lut::map_lut_with_cuts(&mch, &lut, &compacted, &params),
             "compaction changed the mapped netlist"
         );
+    }
+
+    /// Cut lists equal down to the cost bits.
+    fn same_cuts(a: &[Cut], b: &[Cut]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x == y
+                    && x.signature() == y.signature()
+                    && x.costs().arrival == y.costs().arrival
+                    && x.costs().flow.to_bits() == y.costs().flow.to_bits()
+            })
+    }
+
+    /// The mixed networks two suite flows build for `name`: the DCH flow's
+    /// (two optimisation snapshots of the prepared input) and the MCH
+    /// balanced ASIC flow's (Algorithm 2 candidates plus graph-mapped views).
+    fn flow_mixed_networks(name: &str) -> Vec<(String, ChoiceNetwork)> {
+        use mch_core::mapper::MappingObjective as Objective;
+        use mch_core::opt::{compress2rs_like, compress_round, graph_map};
+        let net = mch_core::benchmarks::benchmark(name).expect("suite circuit");
+        let prepared = compress2rs_like(&net, 2);
+        let snap1 = compress_round(&prepared);
+        let snap2 = compress2rs_like(&snap1, 2);
+        let dch = mch_choice::dch_from_snapshots(&prepared, &[snap1, snap2]);
+        let params = MchParams::balanced();
+        let mut mch = build_mch(&prepared, &params);
+        for kind in std::iter::once(prepared.kind()).chain(params.secondary.iter().copied()) {
+            let view = graph_map(&prepared, kind, Objective::Balanced);
+            mch_choice::add_snapshot_choices(&mut mch, &view);
+        }
+        vec![(format!("{name} DCH"), dch), (format!("{name} MCH"), mch)]
+    }
+
+    /// Live-only `prepare_cuts` against the transfer over full enumeration,
+    /// for the LUT and the ASIC cut configurations: every original gate's and
+    /// every choice node's cut list and estimates must match, dead gates must
+    /// be empty, and a 4-thread run must be identical to the serial one.
+    fn assert_live_prep_matches_full_enumeration(name: &str) {
+        let library = mch_techlib::asap7_lite();
+        let configs = [
+            (6, 8, CutCost::Hybrid, CutCostModel::unit()),
+            (
+                library.max_inputs().clamp(3, 6),
+                8,
+                CutCost::Hybrid,
+                crate::library_cost_model(&library),
+            ),
+        ];
+        let mut dead_total = 0usize;
+        for (what, choice) in flow_mixed_networks(name) {
+            let net = choice.network();
+            let live = live_gates(&choice);
+            for &(cut_size, cut_limit, cost, model) in &configs {
+                let params = CutParams::new(cut_size, cut_limit).with_cost(cost);
+                let fast = prepare_cuts(&choice, cut_size, cut_limit, cost, &model, 1);
+                let full = mch_cut::enumerate_cuts_threaded(net, &params, &model, 1);
+                let reference =
+                    transfer_choice_cuts(&choice, full, cut_size, cut_limit, cost, 1);
+                for id in net.gate_ids() {
+                    if live[id.index()] {
+                        assert!(
+                            same_cuts(fast.of(id), reference.of(id)),
+                            "{what} k={cut_size}: cuts of live gate {id} differ"
+                        );
+                        let (a, b) = (fast.node_costs(id), reference.node_costs(id));
+                        assert_eq!(a.arrival, b.arrival, "{what}: arrival of {id}");
+                        assert_eq!(a.flow.to_bits(), b.flow.to_bits(), "{what}: flow of {id}");
+                    } else {
+                        assert!(fast.of(id).is_empty(), "{what}: dead gate {id} has cuts");
+                        dead_total += 1;
+                    }
+                }
+                assert_eq!(fast.wasted_slots(), reference.wasted_slots(), "{what}");
+                let threaded = prepare_cuts(&choice, cut_size, cut_limit, cost, &model, 4);
+                assert!(threaded.identical(&fast), "{what} k={cut_size}: 4 threads diverged");
+            }
+        }
+        assert!(dead_total > 0, "{name}: no flow network has a dead gate");
+    }
+
+    // One test per circuit, so the harness runs them side by side. All three
+    // leave unlinked snapshot nodes in their mixed networks.
+    #[test]
+    fn live_prep_matches_full_enumeration_on_priority() {
+        assert_live_prep_matches_full_enumeration("priority");
+    }
+
+    #[test]
+    fn live_prep_matches_full_enumeration_on_i2c() {
+        assert_live_prep_matches_full_enumeration("i2c");
+    }
+
+    #[test]
+    fn live_prep_matches_full_enumeration_on_router() {
+        assert_live_prep_matches_full_enumeration("router");
+    }
+
+    #[test]
+    fn dead_gates_get_empty_spans() {
+        // h = (a & b) & c, with a linked choice a & (b & c) and a candidate
+        // structure (a & !c) & b that was never linked: nothing maps the
+        // latter and no choice reads it, so it gets no cuts at all, while the
+        // linked choice keeps its full cut set.
+        let mut net = Network::new(NetworkKind::Aig);
+        let xs = net.add_inputs(3);
+        let g = net.and2(xs[0], xs[1]);
+        let h = net.and2(g, xs[2]);
+        net.add_output(h);
+        let mut choice = ChoiceNetwork::from_network(&net);
+        let (linked, dead) = {
+            let n = choice.network_mut();
+            let bc = n.and2(xs[1], xs[2]);
+            let linked = n.and2(xs[0], bc);
+            let a_not_c = n.and2(xs[0], !xs[2]);
+            let dead = n.and2(a_not_c, xs[1]);
+            (linked, dead)
+        };
+        assert!(choice.add_choice(h.node(), linked));
+        assert!(!choice.is_original(dead.node()));
+        let cuts = prepare_cuts(&choice, 4, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
+        assert!(cuts.of(dead.node()).is_empty(), "the unlinked gate was enumerated");
+        assert!(!cuts.of(linked.node()).is_empty(), "the linked choice lost its cuts");
+        assert!(net.gate_ids().all(|id| !cuts.of(id).is_empty()));
     }
 
     #[test]
