@@ -1,10 +1,9 @@
-//! Benchmark for parallel plan/commit choice construction: serial-vs-threaded
-//! curves for `build_mch`, a per-phase wall-time breakdown, the
-//! commit-phase scaling curve of the sharded concurrent strash (serial
-//! commit walk vs the coordinator's link phase, per thread count), the
-//! choice phase's share of a full MCH flow, and the arena waste reclaimed by
-//! `NetworkCuts::compact` after choice transfer. Results are written to
-//! `BENCH_choice.json` at the workspace root.
+//! Benchmark for choice construction: serial-vs-threaded curves for
+//! `build_mch`, a per-phase wall-time breakdown, the choice phase's share of
+//! a full MCH flow, and the arena waste reclaimed by `NetworkCuts::compact`
+//! after choice transfer. Threads shard only the cut enumeration inside the
+//! build; the one-to-one and resynthesis walks are serial. Results are
+//! written to `BENCH_choice.json` at the workspace root.
 //!
 //! Every threaded build is checked **identical** to the serial one (the
 //! `ChoiceNetwork` comparison covers the mixed network node for node, the
@@ -38,13 +37,6 @@ struct Row {
     deterministic: bool,
     phases: MchStats,
     choices: usize,
-    /// `MchStats::commit_time` of the serial build: the fused serial commit
-    /// walk through the plain structural hash.
-    serial_commit_ns: f64,
-    /// `MchStats::commit_time` per entry of `THREAD_COUNTS`: the
-    /// coordinator's id-ordered linking of worker-claimed reservations —
-    /// the phase the sharded strash shrinks.
-    commit_ns: Vec<f64>,
 }
 
 fn gather_circuits() -> Vec<(String, Network)> {
@@ -79,19 +71,16 @@ fn params(threads: usize) -> MchParams {
 
 /// Serial-vs-parallel identity check, run once per circuit outside timing.
 /// Compares the full choice network (mixed network, classes) and the
-/// deterministic half of the statistics, and grabs the commit-phase wall
-/// time of each threaded build for the commit scaling curve.
-fn check_determinism(net: &Network) -> (bool, MchStats, usize, Vec<f64>) {
+/// deterministic half of the statistics.
+fn check_determinism(net: &Network) -> (bool, MchStats, usize) {
     let (serial, serial_stats) = build_mch_with_stats(net, &params(1));
     let mut ok = true;
-    let mut commit_ns = Vec::with_capacity(THREAD_COUNTS.len());
     for &t in &THREAD_COUNTS {
         let (threaded, stats) = build_mch_with_stats(net, &params(t));
         ok &= serial == threaded && serial_stats.timeless() == stats.timeless();
-        commit_ns.push(stats.commit_time.as_nanos() as f64);
     }
     let choices = serial.choice_count();
-    (ok, serial_stats, choices, commit_ns)
+    (ok, serial_stats, choices)
 }
 
 fn main() {
@@ -103,7 +92,7 @@ fn main() {
     let mut c = Criterion::new();
     let mut rows: Vec<Row> = Vec::new();
     for (name, net) in &circuits {
-        let (deterministic, phases, choices, commit_ns) = check_determinism(net);
+        let (deterministic, phases, choices) = check_determinism(net);
         let mut group = c.benchmark_group(format!("choice_build/{name}"));
         group.sample_size(sample_size);
         group.bench_function("serial", |b| b.iter(|| build_mch(net, &params(1))));
@@ -123,10 +112,8 @@ fn main() {
                 .map(|i| records[base + 1 + i].median_ns)
                 .collect(),
             deterministic,
-            serial_commit_ns: phases.commit_time.as_nanos() as f64,
             phases,
             choices,
-            commit_ns,
         });
     }
     c.final_summary();
@@ -172,9 +159,6 @@ fn main() {
     let geomeans: Vec<f64> = (0..THREAD_COUNTS.len())
         .map(|i| geomean(&|r: &Row| r.serial_ns / r.parallel_ns[i]))
         .collect();
-    let commit_geomeans: Vec<f64> = (0..THREAD_COUNTS.len())
-        .map(|i| geomean(&|r: &Row| r.serial_commit_ns / r.commit_ns[i].max(1.0)))
-        .collect();
     let all_deterministic = rows.iter().all(|r| r.deterministic);
 
     let phase_pct = |p: &MchStats| -> [f64; 4] {
@@ -205,20 +189,10 @@ fn main() {
                 if j + 1 < THREAD_COUNTS.len() { ", " } else { "" },
             );
         }
-        let mut commit_curve = String::new();
-        for (j, &t) in THREAD_COUNTS.iter().enumerate() {
-            let _ = write!(
-                commit_curve,
-                "{{\"threads\": {t}, \"ns\": {:.0}, \"speedup\": {:.2}}}{}",
-                r.commit_ns[j],
-                r.serial_commit_ns / r.commit_ns[j].max(1.0),
-                if j + 1 < THREAD_COUNTS.len() { ", " } else { "" },
-            );
-        }
         let pct = phase_pct(&r.phases);
         let _ = writeln!(
             json,
-            "    {{\"circuit\": \"{}\", \"gates\": {}, \"choices\": {}, \"npn_classes\": {}, \"npn_cache_hits\": {}, \"serial_ns\": {:.0}, \"deterministic\": {}, \"parallel\": [{}], \"commit_phase\": {{\"serial_ns\": {:.0}, \"parallel\": [{}]}}, \"serial_phase_pct\": {{\"one_to_one\": {:.1}, \"cut_enum\": {:.1}, \"resynthesis\": {:.1}, \"commit\": {:.1}}}}}{}",
+            "    {{\"circuit\": \"{}\", \"gates\": {}, \"choices\": {}, \"npn_classes\": {}, \"npn_cache_hits\": {}, \"serial_ns\": {:.0}, \"deterministic\": {}, \"parallel\": [{}], \"serial_phase_pct\": {{\"one_to_one\": {:.1}, \"cut_enum\": {:.1}, \"resynthesis\": {:.1}, \"commit\": {:.1}}}}}{}",
             r.circuit,
             r.gates,
             r.choices,
@@ -227,8 +201,6 @@ fn main() {
             r.serial_ns,
             r.deterministic,
             curve,
-            r.serial_commit_ns,
-            commit_curve,
             pct[0],
             pct[1],
             pct[2],
@@ -240,11 +212,6 @@ fn main() {
         json,
         "  ],\n  \"geomean_speedup\": {{\"2\": {:.2}, \"4\": {:.2}, \"8\": {:.2}}},",
         geomeans[0], geomeans[1], geomeans[2]
-    );
-    let _ = writeln!(
-        json,
-        "  \"geomean_commit_speedup\": {{\"2\": {:.2}, \"4\": {:.2}, \"8\": {:.2}}},",
-        commit_geomeans[0], commit_geomeans[1], commit_geomeans[2]
     );
     let _ = writeln!(json, "  \"flow_share\": [");
     for (i, (name, flow_ns, choice_ns)) in flow_rows.iter().enumerate() {
@@ -291,10 +258,6 @@ fn main() {
     eprintln!(
         "geomean speedup: ×{:.2} (2t) ×{:.2} (4t) ×{:.2} (8t)",
         geomeans[0], geomeans[1], geomeans[2]
-    );
-    eprintln!(
-        "geomean commit-phase speedup: ×{:.2} (2t) ×{:.2} (4t) ×{:.2} (8t)",
-        commit_geomeans[0], commit_geomeans[1], commit_geomeans[2]
     );
     for (name, flow_ns, choice_ns) in &flow_rows {
         eprintln!(

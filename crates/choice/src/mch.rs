@@ -1,64 +1,32 @@
 //! Construction of mixed structural choice networks (Algorithms 1 and 2).
 //!
-//! # Plan, claim, commit
+//! Both algorithms are one in-order walk over the original network's gates,
+//! committing straight into the choice network's structural hash:
 //!
-//! Both algorithms are organised as a **plan** half that computes detached
-//! *choice recipes* without touching the [`ChoiceNetwork`], a **claim** half
-//! that probes and reserves structural-hash buckets concurrently, and a
-//! **link** half that materialises the reservations in serial order:
+//! * Algorithm 1 (one-to-one mapping) re-emits every gate in the style of
+//!   each secondary representation over its mapped fanins and records the
+//!   result as a choice of the original gate;
+//! * Algorithm 2 (multi-strategy resynthesis) classifies each gate as
+//!   critical or not, then emits NPN-cached candidate structures for its cuts
+//!   (cut-major, strategy-minor) and, off the critical path, for its MFFC,
+//!   until the per-node candidate cap is reached. Each candidate function is
+//!   canonicalised once for all the strategy entries that replay it.
 //!
-//! * Algorithm 1 (one-to-one mapping) plans one styled
-//!   [`GateRecipe`](crate::GateRecipe) template per (representation, gate
-//!   kind). At `threads > 1` the original network is levelised and whole
-//!   levels of gates claim their styled emissions concurrently against the
-//!   batch's [`ShardedStrash`]; the coordinator then links the claim logs in
-//!   gate-id order — the serial emission order — so the formerly serial
-//!   strash walk reduces to an id-ordered replay of pre-resolved
-//!   reservations.
-//! * Algorithm 2 (multi-strategy resynthesis) fans out the expensive work:
-//!   for every gate, workers classify the node, pull its cuts, evaluate its
-//!   MFFC function over dense reused scratch, NPN-canonicalise each
-//!   candidate function once, synthesise missing class representatives into
-//!   worker-local caches ([`NpnDatabase::plan`]-family), and immediately
-//!   claim each planned structure against the shared table
-//!   ([`NpnDatabase::claim`]); the coordinator commits the resulting
-//!   [`NpnClaim`]s strictly in node-id order ([`NpnDatabase::commit_claim`]),
-//!   which links reservations instead of re-hashing every gate.
-//!
-//! One commit batch (`Network::begin_commit_batch`) spans the whole build;
-//! because a strash bucket is reserved at most once per batch and links run
-//! in the exact serial emission order, node ids, network bytes, choice
-//! classes and statistics are **byte-identical** to the serial construction
-//! — same mixed network, same statistics (wall-times aside) — for every
-//! thread count. `threads = 1` keeps the fused serial path: plan and commit
-//! per emission, no batch, no claims.
+//! [`MchParams::threads`] shards only the cut enumeration between the two
+//! walks (level-parallel, byte-identical to serial), so node ids, choice
+//! classes and statistics do not depend on the thread count.
 
 use crate::choice_network::ChoiceNetwork;
-use crate::npn_db::{NpnClaim, NpnDatabase, NpnPlan, NpnPlanCache, SharedNpnCache};
-use crate::strategies::{GateRecipe, StrategyLibrary};
-use mch_cut::{
-    enumerate_cuts_threaded, level_parallel, Cut, CutCostModel, CutParams, NetworkCuts, WorkerPool,
-};
+use crate::npn_db::{NpnDatabase, SharedNpnCache};
+use crate::strategies::{emit_styled, StrategyEntry, StrategyLibrary};
+use mch_cut::{enumerate_cuts_threaded, Cut, CutCostModel, CutParams, NetworkCuts};
 use mch_logic::{
-    critical_path_nodes, levelize, mffc, ClaimLog, GateKind, Network, NetworkKind, NodeId,
-    ShardedStrash, Signal, TruthTable,
+    critical_path_nodes, mffc, GateKind, Network, NetworkKind, NodeId, NpnCanonical, Signal,
+    TruthTable,
 };
 use std::collections::HashSet;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, PoisonError, RwLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Smallest gate count worth planning on the pool; below it the fused serial
-/// path wins on coordination cost alone.
-const PLAN_MIN_BATCH: usize = 64;
-
-/// Chunks handed out per worker during recipe planning; smaller chunks load
-/// balance better (MFFC sizes vary wildly) at slightly more channel traffic.
-const PLAN_CHUNKS_PER_WORKER: usize = 4;
-
-/// Minimum nodes per planning chunk.
-const PLAN_MIN_CHUNK: usize = 32;
 
 /// Parameters of the MCH construction (the inputs of Algorithm 1).
 ///
@@ -83,10 +51,10 @@ pub struct MchParams {
     pub area_strategies: StrategyLibrary,
     /// Cap on the number of choices recorded per representative.
     pub max_candidates_per_node: usize,
-    /// Worker threads for cut enumeration and choice-recipe planning
-    /// (commits stay on the calling thread; results are identical for every
-    /// value). Defaults to [`mch_cut::default_threads`]; `1` is the fused
-    /// serial path.
+    /// Worker threads for the cut enumeration inside the build
+    /// (level-parallel on the process-wide pool; results are identical for
+    /// every value). The one-to-one and resynthesis walks are serial.
+    /// Defaults to [`mch_cut::default_threads`].
     pub threads: usize,
 }
 
@@ -156,8 +124,8 @@ impl MchParams {
     }
 
     /// Returns the same parameters with an explicit worker-thread count for
-    /// cut enumeration and recipe planning. Every value produces an
-    /// identical choice network; `1` selects the fused serial path.
+    /// the cut enumeration. Every value produces an identical choice
+    /// network.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -194,11 +162,12 @@ pub struct MchStats {
     pub one_to_one_time: Duration,
     /// Wall time of critical-path classification plus cut enumeration.
     pub cut_enum_time: Duration,
-    /// Wall time of recipe planning (classification, MFFC evaluation, NPN
-    /// canonicalisation, class synthesis) — the parallel phase.
+    /// Wall time of multi-strategy resynthesis (classification, MFFC
+    /// evaluation, NPN canonicalisation, class synthesis), excluding
+    /// [`commit_time`](MchStats::commit_time).
     pub resynthesis_time: Duration,
-    /// Wall time of committing recipes into the choice network (imports,
-    /// structural hashing, class linking) — the serial phase.
+    /// Wall time of emitting resynthesised candidates into the choice
+    /// network (imports, structural hashing, class linking).
     pub commit_time: Duration,
 }
 
@@ -218,32 +187,6 @@ impl MchStats {
             resynthesis_time: Duration::ZERO,
             commit_time: Duration::ZERO,
             ..*self
-        }
-    }
-}
-
-/// The three styled one-to-one templates of one secondary representation.
-struct StyledTemplates {
-    and2: GateRecipe,
-    xor2: GateRecipe,
-    maj3: GateRecipe,
-}
-
-impl StyledTemplates {
-    fn new(kind: NetworkKind) -> StyledTemplates {
-        StyledTemplates {
-            and2: GateRecipe::styled(kind, GateKind::And2),
-            xor2: GateRecipe::styled(kind, GateKind::Xor2),
-            maj3: GateRecipe::styled(kind, GateKind::Maj3),
-        }
-    }
-
-    fn of(&self, gate: GateKind) -> &GateRecipe {
-        match gate {
-            GateKind::And2 => &self.and2,
-            GateKind::Xor2 => &self.xor2,
-            GateKind::Maj3 => &self.maj3,
-            _ => unreachable!("only gates are emitted"),
         }
     }
 }
@@ -365,108 +308,6 @@ impl ConeScratch {
     }
 }
 
-/// Per-worker planning scratch: the NPN spill-over cache, the dense cone
-/// evaluator and a reused leaf-signal buffer.
-struct PlanScratch {
-    npn: NpnPlanCache,
-    cone: ConeScratch,
-    leaf_sigs: Vec<Signal>,
-}
-
-impl PlanScratch {
-    fn new(network_len: usize) -> PlanScratch {
-        PlanScratch {
-            npn: NpnPlanCache::new(),
-            cone: ConeScratch::new(network_len),
-            leaf_sigs: Vec::new(),
-        }
-    }
-}
-
-/// Everything a planning worker reads; all shared, all immutable (the NPN
-/// database sits behind a read lock that commits briefly take for writing).
-struct PlanCtx<'a> {
-    network: &'a Network,
-    params: &'a MchParams,
-    critical: &'a HashSet<NodeId>,
-    cuts: &'a NetworkCuts,
-    db: &'a RwLock<NpnDatabase>,
-}
-
-/// The planned candidate emissions of one gate, committed in node-id order:
-/// cut-derived plans first (cut-major, strategy-minor — the serial emission
-/// order), then the MFFC resynthesis plans that apply only while the
-/// candidate cap is not yet reached.
-///
-/// Planning is budgeted: only the first `max_candidates_per_node +
-/// PLAN_EMIT_SLACK` emissions are planned (the cap means the commit rarely
-/// consumes more — see the emit statistics in `BENCH_choice.json`), and
-/// `resume` records where planning stopped so the commit can fall back to
-/// the fused serial loop for the rare node whose plans run dry before the
-/// cap is reached. The fallback replays exactly what an unbudgeted plan
-/// would have contained, so results stay byte-identical.
-struct NodeRecipe {
-    id: NodeId,
-    critical: bool,
-    cut_plans: Vec<NpnPlan>,
-    mffc_plans: Vec<NpnPlan>,
-    resume: Option<PlanResume>,
-}
-
-/// Where a budget-truncated plan stopped.
-#[derive(Copy, Clone, Debug)]
-enum PlanResume {
-    /// Continue with cut `cut_index`, strategy entry `entry_index` (then the
-    /// MFFC stage).
-    Cuts { cut_index: usize, entry_index: usize },
-    /// Cuts were fully planned; continue with MFFC strategy entry
-    /// `entry_index`.
-    Mffc { entry_index: usize },
-}
-
-/// Extra emissions planned beyond the per-node candidate cap, absorbing the
-/// occasional candidate that structural hashing resolves onto existing
-/// logic (which does not count toward the cap).
-const PLAN_EMIT_SLACK: usize = 1;
-
-/// A [`NodeRecipe`] whose plans have additionally been claimed against the
-/// batch's [`ShardedStrash`] on the planning worker: the strash probing — the
-/// bulk of the old serial commit — already happened concurrently, and the
-/// coordinator only links the reservations.
-struct NodeClaims {
-    id: NodeId,
-    critical: bool,
-    cut_claims: Vec<NpnClaim>,
-    mffc_claims: Vec<NpnClaim>,
-    resume: Option<PlanResume>,
-}
-
-/// Claims every plan of `recipe` against `table`, in plan order. Runs on the
-/// worker right after [`plan_node`], under the same database read guard, so
-/// [`NpnDatabase::claim`] always finds the class network it needs.
-fn claim_node(
-    db: &NpnDatabase,
-    table: &ShardedStrash,
-    scratch: &NpnPlanCache,
-    recipe: NodeRecipe,
-) -> NodeClaims {
-    NodeClaims {
-        id: recipe.id,
-        critical: recipe.critical,
-        cut_claims: recipe
-            .cut_plans
-            .into_iter()
-            .map(|p| db.claim(p, table, scratch))
-            .collect(),
-        mffc_claims: recipe
-            .mffc_plans
-            .into_iter()
-            .map(|p| db.claim(p, table, scratch))
-            .collect(),
-        resume: recipe.resume,
-    }
-}
-
 /// A cut worth resynthesising: non-trivial, at least three leaves, and a
 /// non-constant function (Algorithm 2's candidate filter).
 fn cut_qualifies(cut: &Cut) -> bool {
@@ -502,304 +343,12 @@ fn mffc_candidate(
     Some((function, leaf_sigs))
 }
 
-/// Plans the first `max_candidates_per_node + PLAN_EMIT_SLACK` candidate
-/// emissions of `id` (read-only): one NPN canonicalisation per candidate
-/// function, shared across the strategy entries that replay it; the MFFC is
-/// evaluated only when the cut candidates left budget for it (mirroring the
-/// serial loop, which rarely reaches the MFFC stage). Returns `None` when
-/// the node has no applicable strategy or no candidate.
-fn plan_node(
-    ctx: &PlanCtx<'_>,
-    db: &NpnDatabase,
-    scratch: &mut PlanScratch,
-    id: NodeId,
-) -> Option<NodeRecipe> {
-    let critical = ctx.critical.contains(&id);
-    let strategies = if critical {
-        &ctx.params.level_strategies
-    } else {
-        &ctx.params.area_strategies
-    };
-    if strategies.is_empty() {
-        return None;
-    }
-    let budget = ctx.params.max_candidates_per_node + PLAN_EMIT_SLACK;
-    let mut cut_plans = Vec::new();
-    let mut resume: Option<PlanResume> = None;
-    'cuts: for (cut_index, cut) in ctx.cuts.of(id).iter().enumerate() {
-        if !cut_qualifies(cut) {
-            continue;
-        }
-        if cut_plans.len() >= budget {
-            resume = Some(PlanResume::Cuts {
-                cut_index,
-                entry_index: 0,
-            });
-            break;
-        }
-        scratch.leaf_sigs.clear();
-        scratch
-            .leaf_sigs
-            .extend(cut.leaves().iter().map(|l| l.signal()));
-        let canon = NpnDatabase::canonicalize(cut.function());
-        for (entry_index, entry) in strategies.entries().iter().enumerate() {
-            if cut_plans.len() >= budget {
-                resume = Some(PlanResume::Cuts {
-                    cut_index,
-                    entry_index,
-                });
-                break 'cuts;
-            }
-            cut_plans.push(db.plan_with_canon(
-                &canon,
-                &scratch.leaf_sigs,
-                entry.kind,
-                entry.strategy,
-                &mut scratch.npn,
-            ));
-        }
-    }
-    let mut mffc_plans = Vec::new();
-    if !critical && resume.is_none() {
-        if cut_plans.len() >= budget {
-            // No budget left to even evaluate the cone; the commit falls back
-            // if (and only if) the cap is still unmet after the cut plans.
-            resume = Some(PlanResume::Mffc { entry_index: 0 });
-        } else if let Some((function, leaf_sigs)) =
-            mffc_candidate(ctx.network, ctx.params, id, &mut scratch.cone)
-        {
-            let canon = NpnDatabase::canonicalize(&function);
-            for (entry_index, entry) in ctx.params.area_strategies.entries().iter().enumerate() {
-                if cut_plans.len() + mffc_plans.len() >= budget {
-                    resume = Some(PlanResume::Mffc { entry_index });
-                    break;
-                }
-                mffc_plans.push(db.plan_with_canon(
-                    &canon,
-                    &leaf_sigs,
-                    entry.kind,
-                    entry.strategy,
-                    &mut scratch.npn,
-                ));
-            }
-        }
-    }
-    if cut_plans.is_empty() && mffc_plans.is_empty() && resume.is_none() {
-        return None;
-    }
-    Some(NodeRecipe {
-        id,
-        critical,
-        cut_plans,
-        mffc_plans,
-        resume,
-    })
-}
-
-/// Where [`emit_serial_from`] starts: cut `cut_index` at strategy entry
-/// `entry_index`, and — once the cuts are exhausted — MFFC strategy entry
-/// `mffc_entry`. `EmitCursor::START` is the whole serial loop.
-#[derive(Copy, Clone, Debug)]
-struct EmitCursor {
-    cut_index: usize,
-    entry_index: usize,
-    mffc_entry: usize,
-}
-
-impl EmitCursor {
-    const START: EmitCursor = EmitCursor {
-        cut_index: 0,
-        entry_index: 0,
-        mffc_entry: 0,
-    };
-}
-
-/// The fused serial emission of one node from `cursor` onwards: plan each
-/// emission and commit it immediately, stopping at the per-node candidate
-/// cap. The entire serial resynthesis is this from [`EmitCursor::START`];
-/// the threaded commit calls it from a recipe's resume point when the
-/// budgeted plans ran dry — both uses produce the exact serial sequence.
-#[allow(clippy::too_many_arguments)]
-fn emit_serial_from(
-    network: &Network,
-    params: &MchParams,
-    cuts: &NetworkCuts,
-    id: NodeId,
-    critical: bool,
-    cursor: EmitCursor,
-    added: &mut usize,
-    cn: &mut ChoiceNetwork,
-    db: &mut NpnDatabase,
-    stats: &mut MchStats,
-    scratch: &mut PlanScratch,
-    commit_time: &mut Duration,
-) {
-    let strategies = if critical {
-        &params.level_strategies
-    } else {
-        &params.area_strategies
-    };
-    if strategies.is_empty() {
-        return;
-    }
-    let max = params.max_candidates_per_node;
-    let cut_list = cuts.of(id);
-    // Only the cut the cursor points into starts mid-entries.
-    let mut entry_start = cursor.entry_index;
-    for cut in cut_list.iter().skip(cursor.cut_index) {
-        if *added >= max {
-            break;
-        }
-        let first_entry = std::mem::take(&mut entry_start);
-        if !cut_qualifies(cut) {
-            continue;
-        }
-        scratch.leaf_sigs.clear();
-        scratch
-            .leaf_sigs
-            .extend(cut.leaves().iter().map(|l| l.signal()));
-        let canon = NpnDatabase::canonicalize(cut.function());
-        for entry in &strategies.entries()[first_entry..] {
-            if *added >= max {
-                break;
-            }
-            let plan = db.plan_with_canon(
-                &canon,
-                &scratch.leaf_sigs,
-                entry.kind,
-                entry.strategy,
-                &mut scratch.npn,
-            );
-            let commit_start = Instant::now();
-            let sig = db.commit(cn.network_mut(), plan);
-            if cn.add_choice(id, sig) {
-                *added += 1;
-                if critical {
-                    stats.level_choices += 1;
-                } else {
-                    stats.area_choices += 1;
-                }
-            }
-            *commit_time += commit_start.elapsed();
-        }
-    }
-    if !critical && *added < max {
-        if let Some((function, leaf_sigs)) = mffc_candidate(network, params, id, &mut scratch.cone)
-        {
-            let canon = NpnDatabase::canonicalize(&function);
-            for entry in &params.area_strategies.entries()[cursor.mffc_entry..] {
-                if *added >= max {
-                    break;
-                }
-                let plan = db.plan_with_canon(
-                    &canon,
-                    &leaf_sigs,
-                    entry.kind,
-                    entry.strategy,
-                    &mut scratch.npn,
-                );
-                let commit_start = Instant::now();
-                let sig = db.commit(cn.network_mut(), plan);
-                if cn.add_choice(id, sig) {
-                    *added += 1;
-                    stats.area_choices += 1;
-                }
-                *commit_time += commit_start.elapsed();
-            }
-        }
-    }
-}
-
-/// Commits one node's claims: link the budgeted claims in order until the
-/// per-node candidate cap is reached; if they run dry with the cap unmet,
-/// continue with the fused serial loop from the recorded resume point.
-/// Exactly the emission sequence the serial path performs — claims the cap
-/// discards leave only unlinked reservations, purged at batch end.
-#[allow(clippy::too_many_arguments)]
-fn commit_node(
-    network: &Network,
-    params: &MchParams,
-    cuts: &NetworkCuts,
-    cn: &mut ChoiceNetwork,
-    db: &mut NpnDatabase,
-    stats: &mut MchStats,
-    scratch: &mut PlanScratch,
-    commit_time: &mut Duration,
-    recipe: NodeClaims,
-) {
-    mch_logic::failpoint!("npn::commit");
-    let max = params.max_candidates_per_node;
-    let mut added = 0usize;
-    for claim in recipe.cut_claims {
-        if added >= max {
-            return;
-        }
-        let commit_start = Instant::now();
-        let sig = db.commit_claim(cn.network_mut(), claim);
-        if cn.add_choice(recipe.id, sig) {
-            added += 1;
-            if recipe.critical {
-                stats.level_choices += 1;
-            } else {
-                stats.area_choices += 1;
-            }
-        }
-        *commit_time += commit_start.elapsed();
-    }
-    if !recipe.critical && added < max {
-        for claim in recipe.mffc_claims {
-            if added >= max {
-                return;
-            }
-            let commit_start = Instant::now();
-            let sig = db.commit_claim(cn.network_mut(), claim);
-            if cn.add_choice(recipe.id, sig) {
-                added += 1;
-                stats.area_choices += 1;
-            }
-            *commit_time += commit_start.elapsed();
-        }
-    }
-    if added < max {
-        if let Some(resume) = recipe.resume {
-            let cursor = match resume {
-                PlanResume::Cuts {
-                    cut_index,
-                    entry_index,
-                } => EmitCursor {
-                    cut_index,
-                    entry_index,
-                    mffc_entry: 0,
-                },
-                PlanResume::Mffc { entry_index } => EmitCursor {
-                    cut_index: usize::MAX,
-                    entry_index: 0,
-                    mffc_entry: entry_index,
-                },
-            };
-            emit_serial_from(
-                network,
-                params,
-                cuts,
-                recipe.id,
-                recipe.critical,
-                cursor,
-                &mut added,
-                cn,
-                db,
-                stats,
-                scratch,
-                commit_time,
-            );
-        }
-    }
-}
-
-/// The fused serial form of Algorithm 2: plan each emission and commit it
-/// immediately, so the per-node candidate cap also caps the planning work.
-/// Byte-identical to the threaded plan/commit schedule.
-#[allow(clippy::too_many_arguments)]
-fn resynthesis_serial(
+/// Algorithm 2 over every gate in id order: emit candidates from the gate's
+/// cuts (cut-major, strategy-minor) and, off the critical path, from its
+/// MFFC, stopping at the per-node candidate cap. Returns the time spent
+/// emitting into the choice network (imports and class linking), without
+/// the synthesis of missing classes.
+fn resynthesize(
     network: &Network,
     params: &MchParams,
     critical: &HashSet<NodeId>,
@@ -807,236 +356,67 @@ fn resynthesis_serial(
     cn: &mut ChoiceNetwork,
     db: &mut NpnDatabase,
     stats: &mut MchStats,
-    commit_time: &mut Duration,
-) {
-    let mut scratch = PlanScratch::new(network.len());
+) -> Duration {
+    let max = params.max_candidates_per_node;
+    let mut commit_time = Duration::ZERO;
+    let mut cone = ConeScratch::new(network.len());
+    let mut leaf_sigs: Vec<Signal> = Vec::new();
     for id in network.gate_ids() {
-        // Same site name as the threaded `commit_node`, so chaos schedules
-        // targeting NPN commits cover the serial path too.
         mch_logic::failpoint!("npn::commit");
+        let critical = critical.contains(&id);
+        let strategies = if critical {
+            &params.level_strategies
+        } else {
+            &params.area_strategies
+        };
+        if strategies.is_empty() {
+            continue;
+        }
         let mut added = 0usize;
-        emit_serial_from(
-            network,
-            params,
-            cuts,
-            id,
-            critical.contains(&id),
-            EmitCursor::START,
-            &mut added,
-            cn,
-            db,
-            stats,
-            &mut scratch,
-            commit_time,
-        );
-    }
-}
-
-/// The threaded schedule of Algorithm 2: workers pull id-ordered chunks of
-/// the gate list off an atomic cursor, plan recipes against the read-shared
-/// NPN database and claim every planned structure against the batch's
-/// sharded strash; the coordinator receives chunk results as they complete,
-/// buffers the out-of-order ones, and links claims strictly in chunk (hence
-/// node-id) order while planning continues.
-#[allow(clippy::too_many_arguments)]
-fn resynthesis_threaded(
-    ctx: &PlanCtx<'_>,
-    table: &ShardedStrash,
-    gate_ids: &[NodeId],
-    threads: usize,
-    cn: &mut ChoiceNetwork,
-    stats: &mut MchStats,
-    commit_time: &mut Duration,
-) {
-    let chunk_size = gate_ids
-        .len()
-        .div_ceil(threads * PLAN_CHUNKS_PER_WORKER)
-        .max(PLAN_MIN_CHUNK);
-    let chunk_count = gate_ids.len().div_ceil(chunk_size);
-    let cursor = AtomicUsize::new(0);
-    let cursor = &cursor;
-    let (result_tx, result_rx) =
-        mpsc::channel::<(usize, std::thread::Result<Vec<NodeClaims>>)>();
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..threads)
-        .map(|_| {
-            let result_tx = result_tx.clone();
-            Box::new(move || {
-                let mut scratch = PlanScratch::new(ctx.network.len());
-                loop {
-                    let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= chunk_count {
-                        break;
-                    }
-                    let start = chunk * chunk_size;
-                    let shard = &gate_ids[start..(start + chunk_size).min(gate_ids.len())];
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        let db = ctx.db.read().unwrap_or_else(PoisonError::into_inner);
-                        let mut claimed = Vec::with_capacity(shard.len());
-                        for &id in shard {
-                            if let Some(recipe) = plan_node(ctx, &db, &mut scratch, id) {
-                                claimed.push(claim_node(&db, table, &scratch.npn, recipe));
-                            }
-                        }
-                        claimed
-                    }));
-                    let died = result.is_err();
-                    if result_tx.send((chunk, result)).is_err() || died {
-                        break;
-                    }
-                }
-            }) as Box<dyn FnOnce() + Send + '_>
-        })
-        .collect();
-    drop(result_tx);
-    WorkerPool::global().run_with(jobs, move || {
-        let mut buffered: Vec<Option<Vec<NodeClaims>>> =
-            (0..chunk_count).map(|_| None).collect();
-        let mut next_commit = 0usize;
-        // The coordinator's own scratch — for the serial fallback when a
-        // recipe's budgeted plans run dry before the candidate cap, and for
-        // the chunks it plans itself below.
-        let mut scratch = PlanScratch::new(ctx.network.len());
-        while next_commit < chunk_count {
-            // Buffer everything that already arrived without blocking.
-            while let Ok((chunk, result)) = result_rx.try_recv() {
-                match result {
-                    Ok(recipes) => buffered[chunk] = Some(recipes),
-                    // Re-raise a worker panic with its original payload; the
-                    // remaining workers drain the cursor and exit on their
-                    // own.
-                    Err(payload) => resume_unwind(payload),
-                }
-            }
-            // Commit strictly in chunk (hence node-id) order.
-            while next_commit < chunk_count {
-                let Some(recipes) = buffered[next_commit].take() else {
+        // Emits `canon` over `leaves` once per strategy entry, stopping at
+        // the cap; returns whether the cap is reached.
+        let mut emit = |canon: &NpnCanonical, leaves: &[Signal], entries: &[StrategyEntry]| {
+            for entry in entries {
+                if added >= max {
                     break;
-                };
-                let mut db = ctx.db.write().unwrap_or_else(PoisonError::into_inner);
-                for recipe in recipes {
-                    commit_node(
-                        ctx.network,
-                        ctx.params,
-                        ctx.cuts,
-                        cn,
-                        &mut db,
-                        stats,
-                        &mut scratch,
-                        commit_time,
-                        recipe,
-                    );
                 }
-                drop(db);
-                next_commit += 1;
+                let commit_start = Instant::now();
+                let sig =
+                    db.emit_with_canon(cn.network_mut(), canon, leaves, entry.kind, entry.strategy);
+                if cn.add_choice(id, sig) {
+                    added += 1;
+                    if critical {
+                        stats.level_choices += 1;
+                    } else {
+                        stats.area_choices += 1;
+                    }
+                }
+                commit_time += commit_start.elapsed();
             }
-            if next_commit >= chunk_count {
+            added >= max
+        };
+        let mut full = max == 0;
+        for cut in cuts.of(id) {
+            if full {
                 break;
             }
-            // Nothing committable yet: help. The coordinator competes with
-            // the worker loops on the same cursor, so planning finishes even
-            // if every pool worker is dead and the worker-loop jobs never
-            // ran. Once the cursor is drained, any still-missing chunk is
-            // held by a live worker loop whose panic-catching body always
-            // reports, so a blocking recv cannot hang.
-            let chunk = cursor.fetch_add(1, Ordering::Relaxed);
-            if chunk < chunk_count {
-                let start = chunk * chunk_size;
-                let shard = &gate_ids[start..(start + chunk_size).min(gate_ids.len())];
-                let db = ctx.db.read().unwrap_or_else(PoisonError::into_inner);
-                let mut claimed = Vec::with_capacity(shard.len());
-                for &id in shard {
-                    if let Some(recipe) = plan_node(ctx, &db, &mut scratch, id) {
-                        claimed.push(claim_node(&db, table, &scratch.npn, recipe));
-                    }
-                }
-                drop(db);
-                buffered[chunk] = Some(claimed);
-            } else {
-                let (chunk, result) = result_rx
-                    .recv()
-                    .expect("every plan worker exited without reporting a chunk");
-                match result {
-                    Ok(recipes) => buffered[chunk] = Some(recipes),
-                    Err(payload) => resume_unwind(payload),
-                }
+            if !cut_qualifies(cut) {
+                continue;
             }
+            leaf_sigs.clear();
+            leaf_sigs.extend(cut.leaves().iter().map(|l| l.signal()));
+            let canon = NpnDatabase::canonicalize(cut.function());
+            full = emit(&canon, &leaf_sigs, strategies.entries());
         }
-        debug_assert_eq!(next_commit, chunk_count, "all chunks must commit");
-    });
-}
-
-/// Smallest level width worth sharding across workers during the batched
-/// one-to-one mapping; narrower networks run the claim/link path serially
-/// inline (still byte-identical, see [`level_parallel`]).
-const ONE_TO_ONE_MIN_SHARD: usize = 16;
-
-/// The batched form of Algorithm 1's one-to-one mapping for one secondary
-/// representation: levelise the original network, claim whole levels of
-/// styled emissions concurrently against the batch's sharded strash, then
-/// link the claim logs in gate-id order — the serial emission order — so the
-/// committed network is byte-identical to the serial walk.
-///
-/// `map_rep` holds each original node's (possibly provisional) mapped claim
-/// signal; a gate's fanins live in strictly earlier levels, so the level
-/// barrier of [`level_parallel`] makes every read see a bound value.
-fn one_to_one_batched(
-    network: &Network,
-    kind: NetworkKind,
-    table: &ShardedStrash,
-    threads: usize,
-    cn: &mut ChoiceNetwork,
-    stats: &mut MchStats,
-) {
-    let templates = StyledTemplates::new(kind);
-    let levels = levelize(network);
-    let map_rep: RwLock<Vec<Signal>> = {
-        let mut m = vec![Signal::CONST0; network.len()];
-        for &pi in network.inputs() {
-            m[pi.index()] = pi.signal();
+        if critical || full {
+            continue;
         }
-        RwLock::new(m)
-    };
-    let mut claimed: Vec<(NodeId, Signal, ClaimLog)> = Vec::with_capacity(network.gate_count());
-    level_parallel(
-        levels.as_slices(),
-        threads,
-        ONE_TO_ONE_MIN_SHARD,
-        || (),
-        |_scratch, shard: &[NodeId]| {
-            let map = map_rep.read().unwrap_or_else(PoisonError::into_inner);
-            let mut out = Vec::with_capacity(shard.len());
-            let mut fanins = [Signal::CONST0; 3];
-            for &id in shard {
-                let node = network.node(id);
-                let arity = node.fanins().len();
-                for (slot, s) in fanins.iter_mut().zip(node.fanins()) {
-                    *slot = map[s.node().index()].xor_complement(s.is_complement());
-                }
-                let mut log = ClaimLog::new();
-                let sig = templates.of(node.kind()).claim(table, &fanins[..arity], &mut log);
-                out.push((id, sig, log));
-            }
-            out
-        },
-        |results| {
-            let mut map = map_rep.write().unwrap_or_else(PoisonError::into_inner);
-            for shard in results {
-                for (id, sig, log) in shard {
-                    map[id.index()] = sig;
-                    claimed.push((id, sig, log));
-                }
-            }
-        },
-    );
-    // Levels are level-major; links must replay the serial gate-id order.
-    claimed.sort_unstable_by_key(|&(id, _, _)| id);
-    for (id, out, log) in claimed {
-        cn.network_mut().link_claims(&log);
-        let sig = cn.network_mut().resolve_claim(out);
-        if cn.add_choice(id, sig) {
-            stats.representation_choices += 1;
+        if let Some((function, leaves)) = mffc_candidate(network, params, id, &mut cone) {
+            let canon = NpnDatabase::canonicalize(&function);
+            emit(&canon, &leaves, params.area_strategies.entries());
         }
     }
+    commit_time.saturating_sub(db.synthesis_time())
 }
 
 /// Builds a mixed structural choice network (Algorithm 1).
@@ -1047,9 +427,9 @@ fn one_to_one_batched(
 /// algorithm (Algorithm 2) adds level-oriented candidates on critical paths
 /// and area-oriented candidates elsewhere.
 ///
-/// Enumeration and resynthesis planning shard across
-/// [`MchParams::threads`] workers on the process-wide pool; the result is
-/// byte-identical for every thread count (see the module docs).
+/// Cut enumeration shards across [`MchParams::threads`] workers on the
+/// process-wide pool; the result is byte-identical for every thread count
+/// (see the module docs).
 pub fn build_mch(network: &Network, params: &MchParams) -> ChoiceNetwork {
     let (cn, _) = build_mch_with_stats(network, params);
     cn
@@ -1078,48 +458,27 @@ pub fn build_mch_with_stats_shared(
 ) -> (ChoiceNetwork, MchStats) {
     let mut cn = ChoiceNetwork::from_network(network);
     let mut stats = MchStats::default();
-    let threads = params.threads.max(1);
-
-    // One commit batch spans the whole build: one-to-one claims and
-    // resynthesis claims share the sharded table, so a reservation made in
-    // either phase resolves consistently everywhere. Below the batch
-    // threshold the fused serial paths run against the plain strash.
-    let batched =
-        threads > 1 && network.gate_count() >= PLAN_MIN_BATCH && !WorkerPool::is_worker();
-    let table = batched.then(|| cn.network_mut().begin_commit_batch());
 
     // ------------------------------------------------------------------
-    // Line 1: one-to-one mapping into each secondary representation. The
-    // styled templates are the (O(1)) plan; batched builds claim whole
-    // levels concurrently and link in gate-id order, serial builds walk
-    // the gates committing directly into the structural hash.
+    // Line 1: one-to-one mapping into each secondary representation.
     // ------------------------------------------------------------------
     let phase_start = Instant::now();
-    if let Some(table) = &table {
-        for &kind in &params.secondary {
-            one_to_one_batched(network, kind, table, threads, &mut cn, &mut stats);
+    for &kind in &params.secondary {
+        let mut map: Vec<Signal> = vec![Signal::CONST0; network.len()];
+        for &pi in network.inputs() {
+            map[pi.index()] = pi.signal();
         }
-    } else {
-        for &kind in &params.secondary {
-            let templates = StyledTemplates::new(kind);
-            let mut map: Vec<Signal> = vec![Signal::CONST0; network.len()];
-            for &pi in network.inputs() {
-                map[pi.index()] = pi.signal();
+        let mut fanins = [Signal::CONST0; 3];
+        for id in network.gate_ids() {
+            let node = network.node(id);
+            let arity = node.fanins().len();
+            for (slot, s) in fanins.iter_mut().zip(node.fanins()) {
+                *slot = map[s.node().index()].xor_complement(s.is_complement());
             }
-            let mut fanins = [Signal::CONST0; 3];
-            for id in network.gate_ids() {
-                let node = network.node(id);
-                let arity = node.fanins().len();
-                for (slot, s) in fanins.iter_mut().zip(node.fanins()) {
-                    *slot = map[s.node().index()].xor_complement(s.is_complement());
-                }
-                let sig = templates
-                    .of(node.kind())
-                    .commit(cn.network_mut(), &fanins[..arity]);
-                map[id.index()] = sig;
-                if cn.add_choice(id, sig) {
-                    stats.representation_choices += 1;
-                }
+            let sig = emit_styled(cn.network_mut(), kind, node.kind(), &fanins[..arity]);
+            map[id.index()] = sig;
+            if cn.add_choice(id, sig) {
+                stats.representation_choices += 1;
             }
         }
     }
@@ -1135,56 +494,21 @@ pub fn build_mch_with_stats_shared(
         network,
         &CutParams::new(params.cut_size, params.cut_limit),
         &CutCostModel::unit(),
-        threads,
+        params.threads,
     );
     stats.cut_enum_time = phase_start.elapsed();
 
     // ------------------------------------------------------------------
-    // Line 4 / Algorithm 2: multi-strategy structural choices, as a
-    // plan/commit split (threaded) or the fused serial loop.
+    // Line 4 / Algorithm 2: multi-strategy structural choices.
     // ------------------------------------------------------------------
     let phase_start = Instant::now();
-    let mut commit_time = Duration::ZERO;
-    let db = RwLock::new(match shared {
+    let mut db = match shared {
         Some(shared) => NpnDatabase::with_shared(Arc::clone(shared)),
         None => NpnDatabase::new(),
-    });
-    let gate_ids: Vec<NodeId> = network.gate_ids().collect();
-    if let Some(table) = &table {
-        let ctx = PlanCtx {
-            network,
-            params,
-            critical: &critical,
-            cuts: &cuts,
-            db: &db,
-        };
-        resynthesis_threaded(
-            &ctx,
-            table,
-            &gate_ids,
-            threads,
-            &mut cn,
-            &mut stats,
-            &mut commit_time,
-        );
-    } else {
-        let mut db = db.write().unwrap_or_else(PoisonError::into_inner);
-        resynthesis_serial(
-            network,
-            params,
-            &critical,
-            &cuts,
-            &mut cn,
-            &mut db,
-            &mut stats,
-            &mut commit_time,
-        );
-    }
-    if batched {
-        drop(table);
-        cn.network_mut().end_commit_batch();
-    }
-    let db = db.into_inner().unwrap_or_else(PoisonError::into_inner);
+    };
+    let commit_time = resynthesize(
+        network, params, &critical, &cuts, &mut cn, &mut db, &mut stats,
+    );
     stats.npn_classes = db.len();
     stats.npn_cache_hits = db.hits();
     stats.commit_time = commit_time;
@@ -1216,8 +540,8 @@ mod tests {
         n
     }
 
-    /// A wider network that clears `PLAN_MIN_BATCH`, so the threaded
-    /// schedule genuinely runs.
+    /// A wider network whose widest levels clear the level-parallel shard
+    /// threshold, so threaded cut enumeration genuinely runs.
     fn wide_network() -> Network {
         let mut n = Network::with_name(NetworkKind::Aig, "wide");
         let a = n.add_inputs(8);
@@ -1321,10 +645,15 @@ mod tests {
 
     #[test]
     fn threaded_construction_is_identical_to_serial() {
-        // The wide network clears PLAN_MIN_BATCH, so threads > 1 genuinely
-        // runs the plan/commit schedule; every thread count must produce the
-        // same choice network and the same deterministic statistics.
+        // Threads shard the cut enumeration inside the build; every thread
+        // count must produce the same choice network and the same
+        // deterministic statistics.
         let net = wide_network();
+        // 16 is the narrowest level the threaded enumeration shards.
+        assert!(
+            mch_logic::levelize(&net).max_width() >= 16,
+            "test network too narrow to exercise threaded enumeration"
+        );
         for base in [
             MchParams::balanced(),
             MchParams::delay_oriented(),
@@ -1332,10 +661,6 @@ mod tests {
         ] {
             let (serial_cn, serial_stats) =
                 build_mch_with_stats(&net, &base.clone().with_threads(1));
-            assert!(
-                net.gate_count() >= PLAN_MIN_BATCH,
-                "test network too small to exercise the threaded path"
-            );
             for threads in [2, 4, 8] {
                 let (cn, stats) =
                     build_mch_with_stats(&net, &base.clone().with_threads(threads));

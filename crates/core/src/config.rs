@@ -44,7 +44,7 @@ pub struct MchConfig {
     /// preset quality numbers are pinned.
     pub exact_area: bool,
     /// Worker threads used throughout the flow: choice construction
-    /// (cut enumeration plus recipe planning, see [`MchParams::threads`]),
+    /// (its cut enumeration, see [`MchParams::threads`]),
     /// snapshot graph-mapping, and the mapper's level-parallel cut
     /// enumeration and choice transfer (see
     /// [`mch_cut::enumerate_cuts_threaded`]). `1` runs fully serial; every

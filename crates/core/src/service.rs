@@ -19,9 +19,9 @@
 //! Two mechanisms make that structural rather than asserted:
 //!
 //! * all within-job ordering is unchanged — each job runs the exact
-//!   plan/claim/commit pipeline of a solo flow, committing in its own
-//!   per-job commit order; cross-job interaction happens only through work
-//!   stealing, which never reorders a job's own commits;
+//!   pipeline of a solo flow, committing in its own per-job order;
+//!   cross-job interaction happens only through work stealing, which never
+//!   reorders a job's own commits;
 //! * the jobs share one service-wide [`SharedNpnCache`], but it is a pure
 //!   value cache: `synthesize` is a pure function of the NPN class key, so a
 //!   class network fetched from the shared store is identical to the one the

@@ -6,45 +6,12 @@
 //! removes duplicated gates at construction time and simple Boolean rules
 //! (constant propagation, idempotence, complementation) are applied eagerly.
 
-use crate::strash::{ClaimLog, ShardedStrash, Slot, StrashKey};
 use crate::{GateKind, NetworkKind, Node, NodeId, Signal};
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// Sentinel for "reservation not linked yet" in a batch's provisional map.
-const UNLINKED: NodeId = NodeId::from_index(u32::MAX as usize);
-
-/// State of an active commit batch (see [`Network::begin_commit_batch`]).
-///
-/// Only the coordinator thread touches `map` and `deferred`; workers interact
-/// with the batch exclusively through the shared [`ShardedStrash`].
-#[derive(Debug)]
-struct BatchState {
-    /// The sharded table workers claim against.
-    table: Arc<ShardedStrash>,
-    /// Provisional index → final node id (or [`UNLINKED`]).
-    map: Vec<NodeId>,
-    /// Final keys of nodes created while their bucket held a reservation;
-    /// folded into the plain strash when the batch ends.
-    deferred: Vec<(StrashKey, NodeId)>,
-}
-
-/// Looks a provisional index up in a batch's link map.
-fn map_lookup(map: &[NodeId], provisional: u32) -> Option<NodeId> {
-    match map.get(provisional as usize) {
-        Some(&id) if id != UNLINKED => Some(id),
-        _ => None,
-    }
-}
-
-/// Records `provisional → id` in a batch's link map, growing it on demand.
-fn map_record(map: &mut Vec<NodeId>, provisional: u32, id: NodeId) {
-    let index = provisional as usize;
-    if map.len() <= index {
-        map.resize(index + 1, UNLINKED);
-    }
-    map[index] = id;
-}
+/// Key of one structural-hash bucket: the gate kind plus its normalised
+/// fanins (unused slots hold [`Signal::CONST0`]).
+type StrashKey = (GateKind, [Signal; 3]);
 
 /// A multi-representation combinational logic network.
 ///
@@ -61,7 +28,7 @@ fn map_record(map: &mut Vec<NodeId>, provisional: u32, id: NodeId) {
 /// assert_eq!(aig.gate_count(), 1);
 /// assert_eq!(aig.depth(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Network {
     name: String,
     kind: NetworkKind,
@@ -69,28 +36,6 @@ pub struct Network {
     inputs: Vec<NodeId>,
     outputs: Vec<Signal>,
     strash: HashMap<StrashKey, NodeId>,
-    batch: Option<BatchState>,
-}
-
-impl Clone for Network {
-    fn clone(&self) -> Self {
-        debug_assert!(
-            self.batch.is_none(),
-            "cloning mid-commit-batch would lose in-flight reservations"
-        );
-        Network {
-            name: self.name.clone(),
-            kind: self.kind,
-            nodes: self.nodes.clone(),
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            strash: match &self.batch {
-                Some(batch) => batch.table.committed_snapshot(),
-                None => self.strash.clone(),
-            },
-            batch: None,
-        }
-    }
 }
 
 /// Structural equality over name, kind, nodes, inputs and outputs. The
@@ -120,7 +65,6 @@ impl Network {
             inputs: Vec::new(),
             outputs: Vec::new(),
             strash: HashMap::new(),
-            batch: None,
         }
     }
 
@@ -313,46 +257,20 @@ impl Network {
     }
 
     fn push_gate(&mut self, kind: GateKind, fanins: [Signal; 3]) -> Signal {
-        if self.batch.is_some() {
-            return self.push_gate_batched(kind, fanins);
-        }
         if let Some(&id) = self.strash.get(&(kind, fanins)) {
             return id.signal();
         }
-        let id = append_node(&mut self.nodes, kind, fanins);
+        let level = 1 + fanins[..kind.arity()]
+            .iter()
+            .map(|s| self.nodes[s.node().index()].level())
+            .max()
+            .unwrap_or(0);
+        let id = NodeId::from_index(self.nodes.len());
+        self.nodes.push(Node::new(kind, fanins, level));
+        for s in &fanins[..kind.arity()] {
+            self.nodes[s.node().index()].bump_fanout();
+        }
         self.strash.insert((kind, fanins), id);
-        id.signal()
-    }
-
-    /// The strash probe-or-create while a commit batch is active: probes the
-    /// sharded table under one shard lock so concurrent worker claims observe
-    /// the bucket transition atomically. Reservations are honoured — a
-    /// reserved key resolves through the provisional map, creating the node
-    /// here if no claim record was linked yet (the serial creation point).
-    fn push_gate_batched(&mut self, kind: GateKind, fanins: [Signal; 3]) -> Signal {
-        let Network { nodes, batch, .. } = self;
-        let BatchState { table, map, deferred } =
-            batch.as_mut().expect("caller checked the batch");
-        let mut shard = table.lock_shard(kind, &fanins);
-        let id = match shard.entry((kind, fanins)) {
-            std::collections::hash_map::Entry::Occupied(e) => match *e.get() {
-                Slot::Committed(id) => id,
-                Slot::Reserved(p) => match map_lookup(map, p) {
-                    Some(id) => id,
-                    None => {
-                        let id = append_node(nodes, kind, fanins);
-                        map_record(map, p, id);
-                        deferred.push(((kind, fanins), id));
-                        id
-                    }
-                },
-            },
-            std::collections::hash_map::Entry::Vacant(v) => {
-                let id = append_node(nodes, kind, fanins);
-                v.insert(Slot::Committed(id));
-                id
-            }
-        };
         id.signal()
     }
 
@@ -651,153 +569,6 @@ impl Network {
         }
         out
     }
-
-    // ------------------------------------------------------------------
-    // Concurrent commit batches (reserve-then-link)
-    // ------------------------------------------------------------------
-
-    /// Starts a commit batch: moves the strash into a shared
-    /// [`ShardedStrash`] and returns the handle workers claim against.
-    ///
-    /// While a batch is active, worker threads may concurrently claim gates
-    /// through the returned table (producing [`ClaimLog`]s) while this —
-    /// coordinator-owned — network keeps working normally: direct builder
-    /// calls ([`Network::and2`] …) probe the same table and interoperate
-    /// with in-flight reservations, so serial fallback paths stay correct
-    /// mid-batch. Node ids are only ever assigned by the coordinator, in
-    /// call/link order, which keeps the layout byte-identical to a fully
-    /// serial construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a batch is already active.
-    pub fn begin_commit_batch(&mut self) -> Arc<ShardedStrash> {
-        assert!(self.batch.is_none(), "commit batch already active");
-        let table = Arc::new(ShardedStrash::from_map(std::mem::take(&mut self.strash)));
-        let handle = Arc::clone(&table);
-        self.batch = Some(BatchState {
-            table,
-            map: Vec::new(),
-            deferred: Vec::new(),
-        });
-        handle
-    }
-
-    /// Returns `true` while a commit batch is active.
-    pub fn in_commit_batch(&self) -> bool {
-        self.batch.is_some()
-    }
-
-    /// Ends the active commit batch: discards unlinked reservations (claims
-    /// a budget cap rejected) and folds the committed buckets back into the
-    /// plain serial strash. The final table is exactly the one a serial
-    /// construction of the same nodes would hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is active.
-    pub fn end_commit_batch(&mut self) {
-        let batch = self.batch.take().expect("no active commit batch");
-        self.strash = batch.table.drain_committed();
-        for (key, id) in batch.deferred {
-            self.strash.insert(key, id);
-        }
-    }
-
-    /// Links one claim log into the network, in record order (the coordinator
-    /// half of the reserve-then-link protocol).
-    ///
-    /// The first record naming a reservation creates its node — at the id the
-    /// serial walk would have assigned — after remapping provisional fanins
-    /// to final ids and re-sorting on final literals; later records (from any
-    /// log) resolve onto it. Logs must be linked in serial emission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no batch is active, or if a record references a provisional
-    /// fanin that no earlier record created (impossible for logs produced by
-    /// claim emission and linked in order).
-    pub fn link_claims(&mut self, log: &ClaimLog) {
-        for rec in &log.records {
-            crate::failpoint!("strash::link");
-            let Network { kind, nodes, batch, .. } = self;
-            let BatchState { table, map, deferred } =
-                batch.as_mut().expect("link_claims requires an active batch");
-            if map_lookup(map, rec.provisional).is_some() {
-                continue; // an earlier log already materialised this node
-            }
-            debug_assert!(kind.allows(rec.kind));
-            let arity = rec.kind.arity();
-            let mut fanins = rec.fanins;
-            for f in &mut fanins[..arity] {
-                if ShardedStrash::is_provisional(*f) {
-                    let id = map_lookup(map, ShardedStrash::provisional_index(*f))
-                        .expect("claim fanins link before their dependents");
-                    *f = id.signal().xor_complement(f.is_complement());
-                }
-            }
-            fanins[..arity].sort_by_key(|s| s.literal());
-            let mut shard = table.lock_shard(rec.kind, &fanins);
-            let id = match shard.entry((rec.kind, fanins)) {
-                std::collections::hash_map::Entry::Occupied(e) => match *e.get() {
-                    Slot::Committed(id) => id,
-                    Slot::Reserved(q) => match map_lookup(map, q) {
-                        Some(id) => id,
-                        None => {
-                            // The bucket keeps its reservation (claims in
-                            // flight must observe a stable representation);
-                            // the final key is folded in at batch end.
-                            let id = append_node(nodes, rec.kind, fanins);
-                            map_record(map, q, id);
-                            deferred.push(((rec.kind, fanins), id));
-                            id
-                        }
-                    },
-                },
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    let id = append_node(nodes, rec.kind, fanins);
-                    v.insert(Slot::Committed(id));
-                    id
-                }
-            };
-            drop(shard);
-            map_record(map, rec.provisional, id);
-        }
-    }
-
-    /// Resolves a claim-emission result to a final signal: provisional
-    /// results map through the batch's link table (their log must have been
-    /// linked), concrete signals pass through unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a provisional signal when no batch is active or its
-    /// reservation was never linked.
-    pub fn resolve_claim(&self, signal: Signal) -> Signal {
-        if !ShardedStrash::is_provisional(signal) {
-            return signal;
-        }
-        let batch = self.batch.as_ref().expect("no active commit batch");
-        let id = map_lookup(&batch.map, ShardedStrash::provisional_index(signal))
-            .expect("claim must be linked before resolution");
-        id.signal().xor_complement(signal.is_complement())
-    }
-}
-
-/// Appends a node (level computation + fanout bumps), without touching any
-/// strash. Shared by the serial and batched gate-creation paths.
-fn append_node(nodes: &mut Vec<Node>, kind: GateKind, fanins: [Signal; 3]) -> NodeId {
-    let level = 1 + fanins[..kind.arity()]
-        .iter()
-        .map(|s| nodes[s.node().index()].level())
-        .max()
-        .unwrap_or(0);
-    let id = NodeId::from_index(nodes.len());
-    nodes.push(Node::new(kind, fanins, level));
-    for s in &fanins[..kind.arity()] {
-        nodes[s.node().index()].bump_fanout();
-    }
-    id
 }
 
 impl Default for Network {

@@ -110,65 +110,6 @@ fn aborting_failpoints_yield_structured_errors_and_leave_the_pool_reusable() {
     });
 }
 
-/// A flow over a circuit large enough (>= the batch threshold) that the
-/// sharded-strash commit path genuinely runs at `threads > 1`, so the
-/// `strash::*` failpoints are reachable.
-fn big_lut_flow_at(threads: usize) -> Result<String, FlowError> {
-    let net = mch::benchmarks::adder(16);
-    let lut = LutLibrary::k6();
-    let config = MchConfig::lut_area().with_threads(threads);
-    mch::core::try_lut_flow_mch(&net, &lut, &config).map(|r| {
-        assert!(r.verified, "a surviving flow must verify");
-        write_lut_blif(&r.netlist)
-    })
-}
-
-/// The sharded-strash failpoints: `strash::shard_claim` fires *inside* a
-/// shard's locked critical section (deliberately poisoning that shard) and
-/// `strash::link` fires during the coordinator's id-ordered linking. Both
-/// must surface as structured `WorkerPanic`s — never a deadlock, even with a
-/// poisoned shard mutex — and the next pristine flow must byte-match a
-/// never-faulted baseline. At 1 thread no commit batch exists, so the sites
-/// stay cold and the flow succeeds untouched.
-#[test]
-fn strash_faults_yield_structured_errors_and_identical_recovery() {
-    with_chaos(|| {
-        for threads in thread_counts() {
-            let baseline = big_lut_flow_at(threads).expect("pristine flow");
-            for site in ["strash::shard_claim", "strash::link"] {
-                failpoint::arm_exact(site, &[0]);
-                let outcome = big_lut_flow_at(threads);
-                failpoint::disarm();
-                if threads == 1 {
-                    // The serial path commits against the plain strash and
-                    // never claims: the failpoint must stay cold.
-                    assert_eq!(outcome.expect("serial flow unaffected"), baseline);
-                } else {
-                    let err = match outcome {
-                        Err(err) => err,
-                        Ok(_) => panic!("failpoint {site} did not fire at {threads} threads"),
-                    };
-                    match &err {
-                        FlowError::WorkerPanic { message } => assert!(
-                            message.starts_with(failpoint::PANIC_PREFIX)
-                                && message.contains(site),
-                            "wrong payload for {site}: {message}"
-                        ),
-                        other => panic!("expected WorkerPanic for {site}, got {other}"),
-                    }
-                }
-                // Recovery: a fresh flow builds a fresh batch — the poisoned
-                // shard of the previous one must be unobservable.
-                assert_eq!(
-                    big_lut_flow_at(threads).expect("pool must stay reusable"),
-                    baseline,
-                    "{site} corrupted the next pristine flow at {threads} threads"
-                );
-            }
-        }
-    });
-}
-
 #[test]
 fn pool_dispatch_fault_fails_the_flow_not_the_process() {
     with_chaos(|| {

@@ -1,4 +1,4 @@
-//! Determinism of the plan/commit choice construction: `build_mch` and both
+//! Determinism of the choice construction: `build_mch` and both
 //! full flows at 1, 2, 4 and 8 worker threads must produce **identical**
 //! choice networks (choice classes, deterministic statistics and the mixed
 //! network, node for node) and identical mapped netlists, across AIG, XAG
@@ -8,10 +8,12 @@
 //! recorded choice class must simulate equivalent — and pins the id-sorted
 //! iteration order of `representatives()`.
 //!
-//! The commit-heavy profile (wide circuits, raised candidate cap, two
-//! secondary representations) targets the sharded concurrent strash: commit
-//! traffic dominates those builds, so any divergence in claim folds, bucket
-//! reservations or link order shows up as a byte difference here.
+//! Threads shard the level-parallel cut enumeration inside the build and the
+//! mapper's cut preparation and choice transfer; the commit-heavy profile
+//! (wide circuits, raised candidate cap, two secondary representations)
+//! gives those levels enough width to shard and pushes many candidates
+//! through the structural hash, so any thread-dependent cut order or
+//! transfer shows up as a byte difference here.
 
 use mch::benchmarks::random_logic;
 use mch::choice::{build_mch, build_mch_with_stats, MchParams};
@@ -70,8 +72,8 @@ fn build_mch_is_identical_across_thread_counts() {
     }
 }
 
-/// A wide random network: enough gates that the sharded strash genuinely
-/// fans the claim phase out across workers at every tested thread count.
+/// A wide random network: levels wide enough that the threaded cut
+/// enumeration genuinely shards across workers at every tested thread count.
 fn wide_arbitrary_network(i: usize) -> Network {
     let mut rng = Prng::seed_from_u64(0xC0_3317 + i as u64);
     let inputs = rng.gen_range(20..30);
@@ -88,11 +90,10 @@ fn wide_arbitrary_network(i: usize) -> Network {
 
 #[test]
 fn commit_heavy_builds_are_identical_across_thread_counts() {
-    // Stress profile for the sharded concurrent commit: wide circuits, two
-    // secondary representations (so the batched one-to-one claim/link path
-    // runs) and a raised candidate cap so commit traffic — claims, bucket
-    // reservations, id-ordered linking — dominates the build. Every thread
-    // count must still produce the byte-identical choice network.
+    // Stress profile: wide circuits, two secondary representations (so the
+    // one-to-one walk runs twice) and a raised candidate cap so commit
+    // traffic dominates the build, over threaded cut enumeration. Every
+    // thread count must still produce the byte-identical choice network.
     for i in 0..4 {
         let net = wide_arbitrary_network(i);
         let mut base = MchParams::mixed(&[NetworkKind::Xag, NetworkKind::Xmg]);

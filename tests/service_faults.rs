@@ -62,8 +62,8 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// A three-job LUT batch: one batch-threshold-clearing circuit flanked by
-/// two small ones (fresh `Job` values each call).
+/// A three-job LUT batch: one larger circuit flanked by two small ones
+/// (fresh `Job` values each call).
 fn batch(threads: usize) -> Vec<Job> {
     let lut = LutLibrary::k6();
     vec![
