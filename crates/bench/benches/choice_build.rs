@@ -149,7 +149,11 @@ fn main() {
             .sum();
         assert_eq!(before, after, "{name}: compaction changed a cut set");
         assert_eq!(reclaimed, wasted, "{name}: reclaimed != tracked waste");
-        assert_eq!(cuts.wasted_slots(), 0, "{name}: residual waste after compact");
+        assert_eq!(
+            cuts.wasted_slots(),
+            0,
+            "{name}: residual waste after compact"
+        );
         compact_rows.push((name.clone(), total, wasted, cuts.wasted_slots()));
     }
 
@@ -186,7 +190,11 @@ fn main() {
                 "{{\"threads\": {t}, \"ns\": {:.0}, \"speedup\": {:.2}}}{}",
                 r.parallel_ns[j],
                 r.serial_ns / r.parallel_ns[j],
-                if j + 1 < THREAD_COUNTS.len() { ", " } else { "" },
+                if j + 1 < THREAD_COUNTS.len() {
+                    ", "
+                } else {
+                    ""
+                },
             );
         }
         let pct = phase_pct(&r.phases);
@@ -230,13 +238,18 @@ fn main() {
             if i + 1 < compact_rows.len() { "," } else { "" },
         );
     }
-    let _ = writeln!(json, "  ],\n  \"all_deterministic\": {all_deterministic}\n}}");
+    let _ = writeln!(
+        json,
+        "  ],\n  \"all_deterministic\": {all_deterministic}\n}}"
+    );
 
     // crates/bench → workspace root.
     let out: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_choice.json");
     std::fs::write(&out, &json).expect("write BENCH_choice.json");
 
-    eprintln!("\nchoice build: speedup vs threads (serial → 2 / 4 / 8), host has {host_cpus} cpu(s):");
+    eprintln!(
+        "\nchoice build: speedup vs threads (serial → 2 / 4 / 8), host has {host_cpus} cpu(s):"
+    );
     for r in &rows {
         let pct = phase_pct(&r.phases);
         eprintln!(

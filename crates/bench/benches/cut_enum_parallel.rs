@@ -18,13 +18,9 @@
 //! (used by CI); set `MCH_BENCH_FULL=1` for the complete scaled suite.
 
 use mch_bench::harness::{format_ns, Criterion};
-use mch_benchmarks::{
-    barrel_shifter, hypotenuse, multiplier, sine_approx, square, voter,
-};
+use mch_benchmarks::{barrel_shifter, hypotenuse, multiplier, sine_approx, square, voter};
 use mch_choice::{build_mch, MchParams};
-use mch_cut::{
-    enumerate_cuts, enumerate_cuts_threaded, CutCost, CutCostModel, CutParams,
-};
+use mch_cut::{enumerate_cuts, enumerate_cuts_threaded, CutCost, CutCostModel, CutParams};
 use mch_logic::{convert, levelize, Network, NetworkKind};
 use mch_mapper::prepare_cuts;
 use std::fmt::Write as _;
@@ -74,9 +70,9 @@ fn gather_circuits() -> Vec<(String, Network)> {
 fn check_determinism(net: &Network, params: &CutParams) -> bool {
     let unit = CutCostModel::unit();
     let serial = enumerate_cuts(net, params);
-    THREAD_COUNTS.iter().all(|&t| {
-        serial.identical(&enumerate_cuts_threaded(net, params, &unit, t))
-    })
+    THREAD_COUNTS
+        .iter()
+        .all(|&t| serial.identical(&enumerate_cuts_threaded(net, params, &unit, t)))
 }
 
 fn main() {
@@ -119,10 +115,8 @@ fn main() {
 
     // Choice-transfer waste: enumerate + transfer over an MCH choice network
     // and report how many arena slots extend_node abandoned.
-    let transfer_sources: Vec<(&str, Network)> = vec![
-        ("voter63", voter(63)),
-        ("bar32", barrel_shifter(32)),
-    ];
+    let transfer_sources: Vec<(&str, Network)> =
+        vec![("voter63", voter(63)), ("bar32", barrel_shifter(32))];
     let mut transfer_rows = Vec::new();
     for (name, net) in &transfer_sources {
         let mch = build_mch(net, &MchParams::area_oriented());
@@ -159,7 +153,11 @@ fn main() {
                 "{{\"threads\": {t}, \"ns\": {:.0}, \"speedup\": {:.2}}}{}",
                 r.parallel_ns[j],
                 r.serial_ns / r.parallel_ns[j],
-                if j + 1 < THREAD_COUNTS.len() { ", " } else { "" },
+                if j + 1 < THREAD_COUNTS.len() {
+                    ", "
+                } else {
+                    ""
+                },
             );
         }
         let _ = writeln!(
@@ -188,7 +186,10 @@ fn main() {
             if i + 1 < transfer_rows.len() { "," } else { "" },
         );
     }
-    let _ = writeln!(json, "  ],\n  \"all_deterministic\": {all_deterministic}\n}}");
+    let _ = writeln!(
+        json,
+        "  ],\n  \"all_deterministic\": {all_deterministic}\n}}"
+    );
 
     // crates/bench → workspace root.
     let out: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel.json");
@@ -205,7 +206,11 @@ fn main() {
             r.serial_ns / r.parallel_ns[0],
             r.serial_ns / r.parallel_ns[1],
             r.serial_ns / r.parallel_ns[2],
-            if r.deterministic { "" } else { "  !! NONDETERMINISTIC" },
+            if r.deterministic {
+                ""
+            } else {
+                "  !! NONDETERMINISTIC"
+            },
         );
     }
     eprintln!(

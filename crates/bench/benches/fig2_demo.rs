@@ -2,8 +2,8 @@
 //! (traditional vs DCH vs MCH) on the `(a+b) > 0` circuit.
 
 use mch_bench::harness::Criterion;
-use mch_bench::{criterion_group, criterion_main};
 use mch_bench::run_fig2;
+use mch_bench::{criterion_group, criterion_main};
 
 fn bench_fig2(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2_demo");

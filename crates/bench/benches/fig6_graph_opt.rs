@@ -17,9 +17,7 @@ fn bench_fig6(c: &mut Criterion) {
         b.iter(|| iterate_graph_map(&net, NetworkKind::Xmg, MappingObjective::Area, 3))
     });
     group.bench_function("mch_graph_map", |b| {
-        b.iter(|| {
-            iterate_graph_map_mch(&net, NetworkKind::Xmg, &params, MappingObjective::Area, 3)
-        })
+        b.iter(|| iterate_graph_map_mch(&net, NetworkKind::Xmg, &params, MappingObjective::Area, 3))
     });
     group.finish();
 }

@@ -198,7 +198,9 @@ fn main() {
     let out: PathBuf = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_mapping.json");
     std::fs::write(&out, &json).expect("write BENCH_mapping.json");
 
-    eprintln!("\nper-circuit hybrid vs structural (LUT levels / LUT count / ASIC delay / ASIC area):");
+    eprintln!(
+        "\nper-circuit hybrid vs structural (LUT levels / LUT count / ASIC delay / ASIC area):"
+    );
     for r in &rows {
         eprintln!(
             "  {:<12} {:>6} gates  levels {:>2} vs {:>2}   luts {:>5} vs {:>5}   delay {:>8.1} vs {:>8.1}   area {:>9.2} vs {:>9.2}",

@@ -56,7 +56,16 @@ fn gather_circuits() -> Vec<(String, Network)> {
     let names: &[&str] = if smoke {
         &["int2float", "cavlc", "priority"]
     } else if full {
-        &["int2float", "cavlc", "priority", "sin", "voter", "bar", "max", "i2c"]
+        &[
+            "int2float",
+            "cavlc",
+            "priority",
+            "sin",
+            "voter",
+            "bar",
+            "max",
+            "i2c",
+        ]
     } else {
         &["int2float", "cavlc", "priority", "sin", "voter"]
     };
@@ -113,7 +122,8 @@ fn main() {
         // Exactness first, also outside the timed region: the memoised cover
         // must be bit-identical to full recomputation at every round count.
         let lut_identical = ROUND_COUNTS.iter().all(|&r| {
-            lut_problem.solve(&engine_params(r, true)) == lut_problem.solve(&engine_params(r, false))
+            lut_problem.solve(&engine_params(r, true))
+                == lut_problem.solve(&engine_params(r, false))
         });
         let asic_identical = ROUND_COUNTS.iter().all(|&r| {
             asic_problem.solve(&engine_params(r, true))
@@ -233,7 +243,11 @@ fn main() {
             r.asic.recompute_ns[0] / r.asic.memo_ns[0],
             r.asic.recompute_ns[1] / r.asic.memo_ns[1],
             r.asic.recompute_ns[2] / r.asic.memo_ns[2],
-            if r.lut.identical && r.asic.identical { "" } else { "  !! DIVERGED" },
+            if r.lut.identical && r.asic.identical {
+                ""
+            } else {
+                "  !! DIVERGED"
+            },
         );
     }
     eprintln!(

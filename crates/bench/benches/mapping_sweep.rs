@@ -189,10 +189,7 @@ fn main() {
             if i + 1 < THREAD_COUNTS.len() { "," } else { "" },
         );
     }
-    let _ = writeln!(
-        json,
-        "  ],\n  \"geomean_speedup\": {geomean_speedup:.2},"
-    );
+    let _ = writeln!(json, "  ],\n  \"geomean_speedup\": {geomean_speedup:.2},");
     let _ = writeln!(
         json,
         "  \"prepared_cache\": {{\"entries\": {}, \"bytes\": {}, \"hits\": {}, \"misses\": {}, \"evictions\": {}}},",

@@ -3,9 +3,7 @@
 
 use mch_bench::harness::Criterion;
 use mch_bench::{criterion_group, criterion_main};
-use mch_core::{
-    asic_flow_baseline, asic_flow_dch, asic_flow_mch, prepare_input, MchConfig,
-};
+use mch_core::{asic_flow_baseline, asic_flow_dch, asic_flow_mch, prepare_input, MchConfig};
 use mch_mapper::MappingObjective;
 use mch_techlib::asap7_lite;
 

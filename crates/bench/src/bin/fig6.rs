@@ -13,8 +13,18 @@ fn main() {
         vec!["int2float", "ctrl", "router", "max", "priority"]
     } else {
         vec![
-            "adder", "bar", "max", "sin", "square", "arbiter", "cavlc", "ctrl", "int2float",
-            "priority", "router", "voter",
+            "adder",
+            "bar",
+            "max",
+            "sin",
+            "square",
+            "arbiter",
+            "cavlc",
+            "ctrl",
+            "int2float",
+            "priority",
+            "router",
+            "voter",
         ]
     };
     let rows = run_fig6(&names);

@@ -435,7 +435,11 @@ mod tests {
         let max = areas.iter().cloned().fold(0.0, f64::max);
         assert!(max > min, "representations should differ in mapped area");
         for r in &rows {
-            assert!(r.delay_oriented_delay <= r.area_oriented_delay + 1e-6, "{:?}", r);
+            assert!(
+                r.delay_oriented_delay <= r.area_oriented_delay + 1e-6,
+                "{:?}",
+                r
+            );
         }
     }
 

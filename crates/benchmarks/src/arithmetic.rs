@@ -28,7 +28,10 @@ pub fn adder(width: usize) -> Network {
 
 /// `bar`: a logarithmic barrel shifter over `width` data bits.
 pub fn barrel_shifter(width: usize) -> Network {
-    assert!(width.is_power_of_two(), "barrel shifter width must be a power of two");
+    assert!(
+        width.is_power_of_two(),
+        "barrel shifter width must be a power of two"
+    );
     let mut n = Network::with_name(NetworkKind::Aig, "bar");
     let data = n.add_inputs(width);
     let shift = n.add_inputs(width.trailing_zeros() as usize);
@@ -228,7 +231,11 @@ pub fn sine_approx(width: usize) -> Network {
     let x5_top: Word = x5[width..].to_vec();
     // x - x3/8 + x5/64 over `width` bits.
     let x3_shift = zero_extend(&n, &shift_left_fixed(&n, &x3_top, 0)[3..], width);
-    let x5_shift = zero_extend(&n, &shift_left_fixed(&n, &x5_top, 0)[6.min(width - 1)..], width);
+    let x5_shift = zero_extend(
+        &n,
+        &shift_left_fixed(&n, &x5_top, 0)[6.min(width - 1)..],
+        width,
+    );
     let (tmp, _) = ripple_sub(&mut n, &x, &x3_shift);
     let zero = n.constant(false);
     let (result, _) = ripple_add(&mut n, &tmp, &x5_shift, zero);
@@ -256,7 +263,9 @@ mod tests {
     }
 
     fn value(bits: &[u64]) -> u64 {
-        bits.iter().enumerate().fold(0, |acc, (i, &b)| acc | ((b & 1) << i))
+        bits.iter()
+            .enumerate()
+            .fold(0, |acc, (i, &b)| acc | ((b & 1) << i))
     }
 
     #[test]
@@ -308,7 +317,10 @@ mod tests {
     fn max_selects_largest() {
         let w = 6;
         let net = max_of_four(w);
-        let outs = eval_words(&net, &[(0, w, 12), (w, w, 60), (2 * w, w, 3), (3 * w, w, 59)]);
+        let outs = eval_words(
+            &net,
+            &[(0, w, 12), (w, w, 60), (2 * w, w, 3), (3 * w, w, 59)],
+        );
         assert_eq!(value(&outs[..w]), 60);
     }
 

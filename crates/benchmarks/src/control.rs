@@ -146,7 +146,9 @@ mod tests {
     }
 
     fn value(bits: &[u64]) -> u64 {
-        bits.iter().enumerate().fold(0, |acc, (i, &b)| acc | ((b & 1) << i))
+        bits.iter()
+            .enumerate()
+            .fold(0, |acc, (i, &b)| acc | ((b & 1) << i))
     }
 
     #[test]

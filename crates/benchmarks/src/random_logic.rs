@@ -20,13 +20,7 @@ use mch_logic::{Network, NetworkKind, Prng, Signal};
 /// # Panics
 ///
 /// Panics if `inputs` is zero or `outputs` is zero.
-pub fn random_logic(
-    name: &str,
-    inputs: usize,
-    outputs: usize,
-    gates: usize,
-    seed: u64,
-) -> Network {
+pub fn random_logic(name: &str, inputs: usize, outputs: usize, gates: usize, seed: u64) -> Network {
     assert!(inputs > 0, "at least one input required");
     assert!(outputs > 0, "at least one output required");
     let mut rng = Prng::seed_from_u64(seed);
@@ -105,7 +99,10 @@ mod tests {
         let n = random_logic("y", 20, 10, 500, 7);
         assert_eq!(n.input_count(), 20);
         assert_eq!(n.output_count(), 10);
-        assert!(n.gate_count() > 100, "cleanup should keep most of the logic");
+        assert!(
+            n.gate_count() > 100,
+            "cleanup should keep most of the logic"
+        );
         assert!(n.depth() > 3);
     }
 

@@ -147,7 +147,10 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), 20);
         assert_eq!(
-            suite.iter().filter(|b| b.category == Category::Arithmetic).count(),
+            suite
+                .iter()
+                .filter(|b| b.category == Category::Arithmetic)
+                .count(),
             10
         );
     }
@@ -183,7 +186,11 @@ mod tests {
         // The paper reports an 11-node AIG with 4 levels for this circuit; our
         // structural translation lands in the same ballpark before any
         // technology-independent optimization.
-        assert!(demo.gate_count() >= 9 && demo.gate_count() <= 20, "{}", demo.gate_count());
+        assert!(
+            demo.gate_count() >= 9 && demo.gate_count() <= 20,
+            "{}",
+            demo.gate_count()
+        );
         assert!(demo.depth() >= 3 && demo.depth() <= 6);
     }
 }

@@ -14,7 +14,12 @@ pub fn constant_word(net: &Network, width: usize, value: u64) -> Word {
 }
 
 /// Ripple-carry addition; returns the sum (same width) and the carry-out.
-pub fn ripple_add(net: &mut Network, a: &[Signal], b: &[Signal], carry_in: Signal) -> (Word, Signal) {
+pub fn ripple_add(
+    net: &mut Network,
+    a: &[Signal],
+    b: &[Signal],
+    carry_in: Signal,
+) -> (Word, Signal) {
     assert_eq!(a.len(), b.len(), "operands must have equal widths");
     let mut carry = carry_in;
     let mut sum = Vec::with_capacity(a.len());
@@ -229,7 +234,11 @@ mod tests {
         }
         for (value, shift) in [(0b1011u64, 0u64), (0b1011, 3), (0xFF, 7), (1, 5)] {
             let outs = eval(&net, &[(0, value), (8, shift)], 8);
-            assert_eq!(word_value(&outs), (value << shift) & 0xFF, "{value}<<{shift}");
+            assert_eq!(
+                word_value(&outs),
+                (value << shift) & 0xFF,
+                "{value}<<{shift}"
+            );
         }
     }
 
@@ -243,7 +252,11 @@ mod tests {
         }
         for value in [0u64, 0b1111111, 0b1010101, 0b0011000] {
             let outs = eval(&net, &[(0, value)], 7);
-            assert_eq!(word_value(&outs), value.count_ones() as u64, "popcount({value:b})");
+            assert_eq!(
+                word_value(&outs),
+                value.count_ones() as u64,
+                "popcount({value:b})"
+            );
         }
     }
 }

@@ -207,7 +207,10 @@ mod tests {
         };
         assert!(cn.add_choice(f.node(), cand));
         assert_eq!(cn.choice_count(), 1);
-        assert_eq!(cn.repr_of(cand.node()), Some((f.node(), cand.is_complement())));
+        assert_eq!(
+            cn.repr_of(cand.node()),
+            Some((f.node(), cand.is_complement()))
+        );
         assert_eq!(cn.choices_of(f.node()).len(), 1);
         assert!(cn.verify(8, 7).is_empty());
     }

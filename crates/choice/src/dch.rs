@@ -108,7 +108,11 @@ fn simulate_rows(network: &Network, width: usize, gates: &[NodeId], values: &mut
     for &id in gates {
         // Fanins precede the gate, so they all lie in the part before its row.
         let (done, rest) = values.split_at_mut(id.index() * width);
-        eval_gate(network.node(id), |f| &done[f.index() * width..][..width], &mut rest[..width]);
+        eval_gate(
+            network.node(id),
+            |f| &done[f.index() * width..][..width],
+            &mut rest[..width],
+        );
     }
 }
 
@@ -145,7 +149,8 @@ fn prove_links(network: &Network, links: &[(NodeId, Signal)]) -> Vec<bool> {
         let bounds = cone_upper_bounds(network);
         let mut walker = ConeWalker::new(network.len());
         let mut within = |node: NodeId| {
-            bounds[node.index()] as usize <= MAX_LINK_CONE || walker.cone_within(network, node, MAX_LINK_CONE)
+            bounds[node.index()] as usize <= MAX_LINK_CONE
+                || walker.cone_within(network, node, MAX_LINK_CONE)
         };
         for (ok, &(repr, cand)) in proven.iter_mut().zip(links) {
             *ok = *ok && within(repr) && within(cand.node());
@@ -189,7 +194,9 @@ fn prove_exhaustively(network: &Network, links: &[(NodeId, Signal)]) -> Vec<bool
         let mut open = false;
         for (ok, &(repr, cand)) in proven.iter_mut().zip(links) {
             if *ok {
-                let diff = values[repr.index()] ^ values[cand.node().index()] ^ phase_mask(cand.is_complement());
+                let diff = values[repr.index()]
+                    ^ values[cand.node().index()]
+                    ^ phase_mask(cand.is_complement());
                 *ok = diff & valid == 0;
                 open |= *ok;
             }
@@ -339,7 +346,8 @@ impl ConeWalker {
                     self.stack.clear();
                     return false;
                 }
-                self.stack.extend(network.node(n).fanins().iter().map(|f| f.node()));
+                self.stack
+                    .extend(network.node(n).fanins().iter().map(|f| f.node()));
             }
         }
         true
@@ -379,16 +387,25 @@ impl ConeWalker {
             let row = &mut row[..width];
             if network.is_input(id) {
                 let pi = supports.of(id).expect("an input is its own support")[0];
-                let var = support.binary_search(&pi).expect("cone inputs lie in the support");
+                let var = support
+                    .binary_search(&pi)
+                    .expect("cone inputs lie in the support");
                 for (w, value) in row.iter_mut().enumerate() {
                     *value = var_word(var, w);
                 }
             } else if network.is_gate(id) {
                 let slot = &self.slot;
-                eval_gate(network.node(id), |f| &done[slot[f.index()] as usize * width..][..width], row);
+                eval_gate(
+                    network.node(id),
+                    |f| &done[slot[f.index()] as usize * width..][..width],
+                    row,
+                );
             }
         }
-        let (a, b) = (self.slot[repr.index()] as usize, self.slot[cand.node().index()] as usize);
+        let (a, b) = (
+            self.slot[repr.index()] as usize,
+            self.slot[cand.node().index()] as usize,
+        );
         let phase = phase_mask(cand.is_complement());
         (0..width).all(|w| (words[a * width + w] ^ words[b * width + w] ^ phase) & valid == 0)
     }
@@ -531,7 +548,9 @@ fn signature_matches(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, 
     let mut index: HashMap<&[u64], (NodeId, bool)> = HashMap::new();
     for &id in &gates {
         if cn.is_original(id) {
-            index.entry(signature(id)).or_insert((id, phase[id.index()]));
+            index
+                .entry(signature(id))
+                .or_insert((id, phase[id.index()]));
         }
     }
 
@@ -552,8 +571,8 @@ mod tests {
     use super::*;
     use crate::{build_mch, MchParams};
     use mch_logic::{cec, convert, simulate_nodes, Network, NetworkKind};
-    use mch_opt::{compress2rs_like, compress_round, graph_map};
     use mch_mapper::MappingObjective;
+    use mch_opt::{compress2rs_like, compress_round, graph_map};
     use std::collections::HashSet;
 
     /// Computes the function of `node` over the primary inputs in `support`
@@ -597,7 +616,11 @@ mod tests {
             let mut fs = Vec::with_capacity(3);
             for s in gate.fanins() {
                 let base = values.get(&s.node())?;
-                fs.push(if s.is_complement() { base.not() } else { base.clone() });
+                fs.push(if s.is_complement() {
+                    base.not()
+                } else {
+                    base.clone()
+                });
             }
             let t = match gate.kind() {
                 GateKind::And2 => fs[0].and(&fs[1]),
@@ -652,7 +675,8 @@ mod tests {
         if union.len() > MAX_LINK_SUPPORT {
             return false;
         }
-        let support: HashMap<NodeId, usize> = union.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let support: HashMap<NodeId, usize> =
+            union.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         let Some(fa) = function_over_support(network, a, &support) else {
             return false;
         };
@@ -678,7 +702,10 @@ mod tests {
 
     /// The per-node signature match [`signature_matches`] must reproduce,
     /// link for link: library simulation and one key vector per node.
-    fn signature_matches_reference(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, Signal)> {
+    fn signature_matches_reference(
+        cn: &ChoiceNetwork,
+        candidates: &[NodeId],
+    ) -> Vec<(NodeId, Signal)> {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -723,12 +750,17 @@ mod tests {
                 .map(|part| {
                     scope.spawn(move || {
                         part.iter()
-                            .map(|&(repr, cand)| nodes_equivalent(network, repr, cand.node(), cand.is_complement()))
+                            .map(|&(repr, cand)| {
+                                nodes_equivalent(network, repr, cand.node(), cand.is_complement())
+                            })
                             .collect::<Vec<bool>>()
                     })
                 })
                 .collect();
-            parts.into_iter().flat_map(|p| p.join().expect("reference proof thread")).collect()
+            parts
+                .into_iter()
+                .flat_map(|p| p.join().expect("reference proof thread"))
+                .collect()
         })
     }
 
@@ -736,7 +768,11 @@ mod tests {
     /// links in the same order.
     fn matches_checked(cn: &ChoiceNetwork, candidates: &[NodeId]) -> Vec<(NodeId, Signal)> {
         let expected = signature_matches_reference(cn, candidates);
-        assert_eq!(signature_matches(cn, candidates), expected, "tentative links");
+        assert_eq!(
+            signature_matches(cn, candidates),
+            expected,
+            "tentative links"
+        );
         expected
     }
 
@@ -751,17 +787,34 @@ mod tests {
     /// signature match and proof, and asserts the same choices, in the same
     /// order, for every representative.
     /// Returns the number of choices recorded.
-    fn assert_links_match_reference(mut cn: ChoiceNetwork, snapshots: &[Network], what: &str) -> usize {
+    fn assert_links_match_reference(
+        mut cn: ChoiceNetwork,
+        snapshots: &[Network],
+        what: &str,
+    ) -> usize {
         let mut total = 0;
         for (i, snapshot) in snapshots.iter().enumerate() {
             let mut reference = cn.clone();
             let added = add_snapshot_choices(&mut cn, snapshot);
-            let expected = add_snapshot_choices_with(&mut reference, snapshot, matches_checked, proofs_checked);
+            let expected = add_snapshot_choices_with(
+                &mut reference,
+                snapshot,
+                matches_checked,
+                proofs_checked,
+            );
             assert_eq!(added, expected, "{what}, snapshot {i}: links added");
             let reprs: Vec<NodeId> = reference.representatives().collect();
-            assert_eq!(cn.representatives().collect::<Vec<_>>(), reprs, "{what}, snapshot {i}");
+            assert_eq!(
+                cn.representatives().collect::<Vec<_>>(),
+                reprs,
+                "{what}, snapshot {i}"
+            );
             for repr in reprs {
-                assert_eq!(cn.choices_of(repr), reference.choices_of(repr), "{what}, snapshot {i}, {repr:?}");
+                assert_eq!(
+                    cn.choices_of(repr),
+                    reference.choices_of(repr),
+                    "{what}, snapshot {i}, {repr:?}"
+                );
             }
             assert_eq!(cn, reference, "{what}, snapshot {i}");
             total += added;
@@ -775,21 +828,43 @@ mod tests {
     /// circuit has at most [`MAX_LINK_SUPPORT`] inputs.
     fn assert_flow_links_match_reference(name: &str, narrow: bool) {
         let net = mch_benchmarks::benchmark(name).expect("suite circuit");
-        assert_eq!(net.input_count() <= MAX_LINK_SUPPORT, narrow, "{name} has {} inputs", net.input_count());
+        assert_eq!(
+            net.input_count() <= MAX_LINK_SUPPORT,
+            narrow,
+            "{name} has {} inputs",
+            net.input_count()
+        );
         let prepared = compress2rs_like(&net, 2);
         let snap1 = compress_round(&prepared);
         let snap2 = compress2rs_like(&snap1, 2);
-        let mut linked =
-            assert_links_match_reference(ChoiceNetwork::from_network(&prepared), &[snap1, snap2], &format!("{name} DCH"));
+        let mut linked = assert_links_match_reference(
+            ChoiceNetwork::from_network(&prepared),
+            &[snap1, snap2],
+            &format!("{name} DCH"),
+        );
         for (input, params, objective, what) in [
-            (&prepared, MchParams::balanced(), MappingObjective::Balanced, "MCH balanced"),
-            (&net, MchParams::mixed(&[NetworkKind::Xmg]), MappingObjective::Area, "MCH 6-LUT area"),
+            (
+                &prepared,
+                MchParams::balanced(),
+                MappingObjective::Balanced,
+                "MCH balanced",
+            ),
+            (
+                &net,
+                MchParams::mixed(&[NetworkKind::Xmg]),
+                MappingObjective::Area,
+                "MCH 6-LUT area",
+            ),
         ] {
             let views: Vec<Network> = std::iter::once(input.kind())
                 .chain(params.secondary.iter().copied())
                 .map(|kind| graph_map(input, kind, objective))
                 .collect();
-            linked += assert_links_match_reference(build_mch(input, &params), &views, &format!("{name} {what}"));
+            linked += assert_links_match_reference(
+                build_mch(input, &params),
+                &views,
+                &format!("{name} {what}"),
+            );
         }
         assert!(linked > 0, "{name}: the flows link no snapshot node");
     }
@@ -877,7 +952,12 @@ mod tests {
         let deepest_linked = NodeId::from_index(last - 5);
         assert_eq!(cn.repr_of(deepest_linked), Some((repr, false)));
         for node in last - 4..=last {
-            assert_eq!(cn.repr_of(NodeId::from_index(node)), None, "cone of {} gates", node - original.len() + 1);
+            assert_eq!(
+                cn.repr_of(NodeId::from_index(node)),
+                None,
+                "cone of {} gates",
+                node - original.len() + 1
+            );
         }
     }
 
@@ -932,7 +1012,10 @@ mod tests {
         let snap = restructured();
         assert!(cec(&orig, &snap).holds());
         let cn = dch_from_snapshots(&orig, &[snap]);
-        assert!(cn.choice_count() > 0, "equivalent snapshot nodes should link");
+        assert!(
+            cn.choice_count() > 0,
+            "equivalent snapshot nodes should link"
+        );
         assert!(cn.verify(16, 3).is_empty());
         assert!(cec(&orig, &cn.network().cleanup()).holds());
     }

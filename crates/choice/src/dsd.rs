@@ -97,16 +97,32 @@ pub fn decompose(function: &TruthTable) -> Decomposition {
         let c0 = function.cofactor0(v);
         let c1 = function.cofactor1(v);
         if c0.is_const0() {
-            return Decomposition::TopAnd { var: v, positive: true, rest: c1 };
+            return Decomposition::TopAnd {
+                var: v,
+                positive: true,
+                rest: c1,
+            };
         }
         if c1.is_const0() {
-            return Decomposition::TopAnd { var: v, positive: false, rest: c0 };
+            return Decomposition::TopAnd {
+                var: v,
+                positive: false,
+                rest: c0,
+            };
         }
         if c0.is_const1() {
-            return Decomposition::TopOr { var: v, positive: false, rest: c1 };
+            return Decomposition::TopOr {
+                var: v,
+                positive: false,
+                rest: c1,
+            };
         }
         if c1.is_const1() {
-            return Decomposition::TopOr { var: v, positive: true, rest: c0 };
+            return Decomposition::TopOr {
+                var: v,
+                positive: true,
+                rest: c0,
+            };
         }
     }
     // Majority top: f == maj(x, c0, c1) iff f = x&(c0|c1) | c0&c1 ... which is
@@ -117,7 +133,11 @@ pub fn decompose(function: &TruthTable) -> Decomposition {
         let c1 = function.cofactor1(v);
         let x = TruthTable::var(n, v);
         if TruthTable::maj(&x, &c1, &c0) == *function && c0 != c1 {
-            return Decomposition::TopMaj { var: v, low: c0, high: c1 };
+            return Decomposition::TopMaj {
+                var: v,
+                low: c0,
+                high: c1,
+            };
         }
     }
     // Shannon on the most "balanced" variable: minimise the larger cofactor
@@ -147,12 +167,20 @@ pub fn emit_decomposed(network: &mut Network, function: &TruthTable, leaves: &[S
     match decompose(function) {
         Decomposition::Constant(v) => network.constant(v),
         Decomposition::Literal { var, complement } => leaves[var].xor_complement(complement),
-        Decomposition::TopAnd { var, positive, rest } => {
+        Decomposition::TopAnd {
+            var,
+            positive,
+            rest,
+        } => {
             let lit = leaves[var].xor_complement(!positive);
             let r = emit_decomposed(network, &rest, leaves);
             network.and(lit, r)
         }
-        Decomposition::TopOr { var, positive, rest } => {
+        Decomposition::TopOr {
+            var,
+            positive,
+            rest,
+        } => {
             let lit = leaves[var].xor_complement(!positive);
             let r = emit_decomposed(network, &rest, leaves);
             network.or(lit, r)
@@ -193,7 +221,10 @@ mod tests {
         let b = TruthTable::var(3, 1);
         let c = TruthTable::var(3, 2);
         let f = a.xor(&b.and(&c));
-        assert!(matches!(decompose(&f), Decomposition::TopXor { var: 0, .. }));
+        assert!(matches!(
+            decompose(&f),
+            Decomposition::TopXor { var: 0, .. }
+        ));
     }
 
     #[test]
@@ -228,7 +259,10 @@ mod tests {
         ));
         assert!(matches!(
             decompose(&TruthTable::var(3, 1).not()),
-            Decomposition::Literal { var: 1, complement: true }
+            Decomposition::Literal {
+                var: 1,
+                complement: true
+            }
         ));
     }
 

@@ -68,7 +68,10 @@ impl MchParams {
             cut_limit: 8,
             mffc_max_inputs: 6,
             critical_ratio: 0.8,
-            level_strategies: StrategyLibrary::level_oriented(&[NetworkKind::Aig, NetworkKind::Xag]),
+            level_strategies: StrategyLibrary::level_oriented(&[
+                NetworkKind::Aig,
+                NetworkKind::Xag,
+            ]),
             area_strategies: StrategyLibrary::area_oriented(&[NetworkKind::Aig]),
             max_candidates_per_node: 3,
             threads: mch_cut::default_threads(),
@@ -84,7 +87,10 @@ impl MchParams {
             cut_limit: 8,
             mffc_max_inputs: 6,
             critical_ratio: 0.5,
-            level_strategies: StrategyLibrary::level_oriented(&[NetworkKind::Xag, NetworkKind::Aig]),
+            level_strategies: StrategyLibrary::level_oriented(&[
+                NetworkKind::Xag,
+                NetworkKind::Aig,
+            ]),
             area_strategies: StrategyLibrary::area_oriented(&[NetworkKind::Aig]),
             max_candidates_per_node: 3,
             threads: mch_cut::default_threads(),
@@ -662,8 +668,7 @@ mod tests {
             let (serial_cn, serial_stats) =
                 build_mch_with_stats(&net, &base.clone().with_threads(1));
             for threads in [2, 4, 8] {
-                let (cn, stats) =
-                    build_mch_with_stats(&net, &base.clone().with_threads(threads));
+                let (cn, stats) = build_mch_with_stats(&net, &base.clone().with_threads(threads));
                 assert_eq!(serial_cn, cn, "{threads} threads diverged");
                 assert_eq!(
                     serial_stats.timeless(),
@@ -704,7 +709,11 @@ mod tests {
                 let mut fs = Vec::with_capacity(3);
                 for s in node.fanins() {
                     let base = values.get(&s.node())?;
-                    fs.push(if s.is_complement() { base.not() } else { base.clone() });
+                    fs.push(if s.is_complement() {
+                        base.not()
+                    } else {
+                        base.clone()
+                    });
                 }
                 let t = match node.kind() {
                     GateKind::And2 => fs[0].and(&fs[1]),

@@ -320,8 +320,20 @@ mod tests {
         let xs = host.add_inputs(2);
         let a = TruthTable::var(2, 0);
         let b = TruthTable::var(2, 1);
-        let _ = db.emit(&mut host, &a.and(&b), &xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
-        let _ = db.emit(&mut host, &a.or(&b), &xs, NetworkKind::Aig, SynthesisStrategy::Decompose);
+        let _ = db.emit(
+            &mut host,
+            &a.and(&b),
+            &xs,
+            NetworkKind::Aig,
+            SynthesisStrategy::Decompose,
+        );
+        let _ = db.emit(
+            &mut host,
+            &a.or(&b),
+            &xs,
+            NetworkKind::Aig,
+            SynthesisStrategy::Decompose,
+        );
         let _ = db.emit(
             &mut host,
             &a.and(&b).not(),
@@ -350,7 +362,13 @@ mod tests {
             }
             let mut host = Network::new(NetworkKind::Mixed);
             let leaves = host.add_inputs(n);
-            let out = db.emit(&mut host, &f, &leaves, NetworkKind::Aig, SynthesisStrategy::SopFactor);
+            let out = db.emit(
+                &mut host,
+                &f,
+                &leaves,
+                NetworkKind::Aig,
+                SynthesisStrategy::SopFactor,
+            );
             host.add_output(out);
             assert_eq!(output_truth_tables(&host)[0], f, "seed {seed}");
         }
@@ -393,7 +411,13 @@ mod tests {
             let mut host = Network::new(NetworkKind::Mixed);
             let leaves = host.add_inputs(3);
             for f in &funcs {
-                let s = db.emit(&mut host, f, &leaves, NetworkKind::Xag, SynthesisStrategy::Decompose);
+                let s = db.emit(
+                    &mut host,
+                    f,
+                    &leaves,
+                    NetworkKind::Xag,
+                    SynthesisStrategy::Decompose,
+                );
                 host.add_output(s);
             }
             (host, db.hits(), db.misses(), db.len())

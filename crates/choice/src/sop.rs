@@ -23,7 +23,10 @@ pub struct Cube {
 impl Cube {
     /// The cube containing no literals (tautology).
     pub fn tautology() -> Self {
-        Cube { mask: 0, polarity: 0 }
+        Cube {
+            mask: 0,
+            polarity: 0,
+        }
     }
 
     /// Number of literals in the cube.
@@ -48,7 +51,11 @@ impl Cube {
         for v in 0..num_vars {
             if self.mask & (1 << v) != 0 {
                 let var = TruthTable::var(num_vars, v);
-                let lit = if self.polarity & (1 << v) != 0 { var } else { var.not() };
+                let lit = if self.polarity & (1 << v) != 0 {
+                    var
+                } else {
+                    var.not()
+                };
                 t = t.and(&lit);
             }
         }
@@ -68,7 +75,12 @@ pub fn isop(function: &TruthTable) -> Vec<Cube> {
 
 /// Recursive ISOP. `lower ⊆ f ⊆ upper`; returns the cover's characteristic
 /// function and appends cubes to `out`.
-fn isop_rec(lower: &TruthTable, upper: &TruthTable, num_vars: usize, out: &mut Vec<Cube>) -> TruthTable {
+fn isop_rec(
+    lower: &TruthTable,
+    upper: &TruthTable,
+    num_vars: usize,
+    out: &mut Vec<Cube>,
+) -> TruthTable {
     if lower.is_const0() {
         return TruthTable::zeros(lower.num_vars());
     }
@@ -150,9 +162,9 @@ pub fn emit_factored(network: &mut Network, cubes: &[Cube], leaves: &[Signal]) -
     match best {
         Some((var, phase, _)) => {
             let lit = leaves[var].xor_complement(!phase);
-            let (with, without): (Vec<Cube>, Vec<Cube>) = cubes.iter().partition(|c| {
-                c.mask & (1 << var) != 0 && (c.polarity >> var) & 1 == phase as u32
-            });
+            let (with, without): (Vec<Cube>, Vec<Cube>) = cubes
+                .iter()
+                .partition(|c| c.mask & (1 << var) != 0 && (c.polarity >> var) & 1 == phase as u32);
             // Remove the divided literal from the quotient cubes.
             let quotient: Vec<Cube> = with
                 .iter()
@@ -269,7 +281,9 @@ mod tests {
 
     #[test]
     fn cube_truth_table() {
-        let cube = Cube::tautology().with_literal(0, true).with_literal(2, false);
+        let cube = Cube::tautology()
+            .with_literal(0, true)
+            .with_literal(2, false);
         let t = cube.truth_table(3);
         let a = TruthTable::var(3, 0);
         let c = TruthTable::var(3, 2);

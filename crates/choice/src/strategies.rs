@@ -172,7 +172,11 @@ fn s_maj(net: &mut Network, kind: NetworkKind, a: Signal, b: Signal, c: Signal) 
 /// Panics if `sub` does not have exactly one output or if the number of
 /// leaves differs from its input count.
 pub fn import_subnetwork(target: &mut Network, sub: &Network, leaves: &[Signal]) -> Signal {
-    assert_eq!(sub.output_count(), 1, "candidate sub-networks have one output");
+    assert_eq!(
+        sub.output_count(),
+        1,
+        "candidate sub-networks have one output"
+    );
     assert_eq!(
         leaves.len(),
         sub.input_count(),

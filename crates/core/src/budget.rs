@@ -167,8 +167,8 @@ pub(crate) fn shrink_cut_limit(
 /// plan up to the candidate cap against every strategy entry, and each
 /// snapshot view re-walks the whole network once.
 fn candidate_estimate(gate_count: usize, network_len: usize, config: &MchConfig) -> usize {
-    let entries = config.mch.level_strategies.entries().len()
-        + config.mch.area_strategies.entries().len();
+    let entries =
+        config.mch.level_strategies.entries().len() + config.mch.area_strategies.entries().len();
     let resynthesis = gate_count
         .saturating_mul(config.mch.max_candidates_per_node)
         .saturating_mul(entries);

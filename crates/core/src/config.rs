@@ -184,7 +184,10 @@ mod tests {
     #[test]
     fn presets_use_expected_objectives() {
         assert_eq!(MchConfig::balanced().objective, MappingObjective::Balanced);
-        assert_eq!(MchConfig::delay_oriented().objective, MappingObjective::Delay);
+        assert_eq!(
+            MchConfig::delay_oriented().objective,
+            MappingObjective::Delay
+        );
         assert_eq!(MchConfig::area_oriented().objective, MappingObjective::Area);
         assert_eq!(MchConfig::lut_area().objective, MappingObjective::Area);
     }

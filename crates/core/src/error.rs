@@ -136,7 +136,11 @@ pub fn validate_library(library: &Library) -> Result<(), FlowError> {
     let mut min_area = vec![f64::INFINITY; library.max_inputs() + 1];
     for cell in library.cells() {
         if !cell.area().is_finite() || cell.area() < 0.0 {
-            return invalid(format!("cell {} has invalid area {}", cell.name(), cell.area()));
+            return invalid(format!(
+                "cell {} has invalid area {}",
+                cell.name(),
+                cell.area()
+            ));
         }
         if !cell.delay().is_finite() || cell.delay() < 0.0 {
             return invalid(format!(
@@ -179,7 +183,10 @@ pub fn validate_lut_library(lut: &LutLibrary) -> Result<(), FlowError> {
         ));
     }
     if !lut.area().is_finite() || lut.area() <= 0.0 {
-        return invalid(format!("LUT area {} must be finite and positive", lut.area()));
+        return invalid(format!(
+            "LUT area {} must be finite and positive",
+            lut.area()
+        ));
     }
     if !lut.delay().is_finite() || lut.delay() <= 0.0 {
         return invalid(format!(

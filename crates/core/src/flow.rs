@@ -4,14 +4,14 @@
 use crate::budget::{plan_degradation, shrink_cut_limit, DegradationReport, DegradationStep};
 use crate::error::panic_message;
 use crate::prepared::{flow_fingerprint, ChoiceKey, PreparedFlow, PreparedFlowCache};
-use crate::{validate_library, validate_lut_library, validate_network, FlowBudget, FlowError};
 use crate::MchConfig;
+use crate::{validate_library, validate_lut_library, validate_network, FlowBudget, FlowError};
 use mch_choice::{
     add_snapshot_choices, build_mch, build_mch_with_stats_shared, dch_from_snapshots,
     ChoiceNetwork, MchParams, SharedNpnCache,
 };
 use mch_cut::{CutCost, WorkerPool};
-use mch_logic::{Network, NetworkKind, cec};
+use mch_logic::{cec, Network, NetworkKind};
 use mch_mapper::{
     map_asic, map_lut, AsicMapParams, CellNetlist, FusionMode, LutMapParams, LutNetlist,
     MappingObjective,
@@ -71,11 +71,23 @@ fn obtain_prepared(
         if let Some(flow) = cache.lookup_contained(fingerprint, network, &key) {
             return flow;
         }
-        let flow = Arc::new(PreparedFlow::build(network, config, key, fingerprint, shared.npn));
+        let flow = Arc::new(PreparedFlow::build(
+            network,
+            config,
+            key,
+            fingerprint,
+            shared.npn,
+        ));
         cache.insert_contained(Arc::clone(&flow));
         flow
     } else {
-        Arc::new(PreparedFlow::build(network, config, key, fingerprint, shared.npn))
+        Arc::new(PreparedFlow::build(
+            network,
+            config,
+            key,
+            fingerprint,
+            shared.npn,
+        ))
     }
 }
 
@@ -247,7 +259,14 @@ pub fn try_asic_flow_baseline(
             MappingObjective::Delay => "baseline &nf (delay)",
             MappingObjective::Balanced => "baseline &nf",
         };
-        finish_asic(name, network, netlist, library, start, DegradationReport::default())
+        finish_asic(
+            name,
+            network,
+            netlist,
+            library,
+            start,
+            DegradationReport::default(),
+        )
     })
 }
 
@@ -279,7 +298,14 @@ pub fn try_asic_flow_dch(
         let snap2 = compress2rs_like(&snap1, 2);
         let choices = dch_from_snapshots(network, &[snap1, snap2]);
         let netlist = map_asic(&choices, library, &AsicMapParams::new(objective));
-        finish_asic("DCH", network, netlist, library, start, DegradationReport::default())
+        finish_asic(
+            "DCH",
+            network,
+            netlist,
+            library,
+            start,
+            DegradationReport::default(),
+        )
     })
 }
 
@@ -293,12 +319,8 @@ fn asic_flow_mch_impl(
     shared: FlowShared<'_>,
 ) -> AsicFlowResult {
     let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
+    let (config, mut report) =
+        plan_degradation(network.len(), network.gate_count(), config, budget);
     let prepared = obtain_prepared(network, &config, shared);
     let mut params = AsicMapParams::new(config.objective)
         .with_ranking(config.cut_ranking)
@@ -326,7 +348,14 @@ fn asic_flow_mch_impl(
         }
     }
     let netlist = prepared.map_asic(library, &params);
-    finish_asic(config.name.clone(), network, netlist, library, start, report)
+    finish_asic(
+        config.name.clone(),
+        network,
+        netlist,
+        library,
+        start,
+        report,
+    )
 }
 
 /// MCH ASIC flow: mixed structural choices evaluated by the choice-aware
@@ -337,11 +366,7 @@ fn asic_flow_mch_impl(
 ///
 /// Panics on invalid inputs; use [`try_asic_flow_mch`] to get a structured
 /// [`FlowError`] instead.
-pub fn asic_flow_mch(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-) -> AsicFlowResult {
+pub fn asic_flow_mch(network: &Network, library: &Library, config: &MchConfig) -> AsicFlowResult {
     unwrap_flow(try_asic_flow_mch(network, library, config))
 }
 
@@ -412,7 +437,13 @@ pub fn try_lut_flow_baseline(
             lut,
             &LutMapParams::new(objective),
         );
-        finish_lut("baseline if", network, netlist, start, DegradationReport::default())
+        finish_lut(
+            "baseline if",
+            network,
+            netlist,
+            start,
+            DegradationReport::default(),
+        )
     })
 }
 
@@ -425,12 +456,8 @@ fn lut_flow_mch_impl(
     shared: FlowShared<'_>,
 ) -> LutFlowResult {
     let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
+    let (config, mut report) =
+        plan_degradation(network.len(), network.gate_count(), config, budget);
     let prepared = obtain_prepared(network, &config, shared);
     let mut params = LutMapParams::new(config.objective)
         .with_ranking(config.cut_ranking)
@@ -474,12 +501,8 @@ fn lut_flow_mch_fused_impl(
     shared: FlowShared<'_>,
 ) -> LutFlowResult {
     let start = Instant::now();
-    let (config, mut report) = plan_degradation(
-        network.len(),
-        network.gate_count(),
-        config,
-        budget,
-    );
+    let (config, mut report) =
+        plan_degradation(network.len(), network.gate_count(), config, budget);
     let prepared = obtain_prepared(network, &config, shared);
     let mut params = LutMapParams::new(config.objective)
         .with_ranking(config.cut_ranking)
@@ -641,10 +664,7 @@ pub(crate) fn try_lut_flow_mch_shared(
 /// Fallible [`build_mch`](mch_choice::build_mch): validates the network up
 /// front and contains any panic from choice construction (including pool
 /// workers) as [`FlowError::WorkerPanic`].
-pub fn try_build_mch(
-    network: &Network,
-    params: &MchParams,
-) -> Result<ChoiceNetwork, FlowError> {
+pub fn try_build_mch(network: &Network, params: &MchParams) -> Result<ChoiceNetwork, FlowError> {
     validate_network(network)?;
     contain(|| build_mch(network, params))
 }
@@ -706,7 +726,10 @@ mod tests {
         let mch = lut_flow_mch(&net, &lut, &MchConfig::lut_area());
         assert!(base.verified && mch.verified);
         assert!(base.luts >= 1 && mch.luts >= 1);
-        assert!(mch.luts <= base.luts, "MCH should not need more LUTs on the demo");
+        assert!(
+            mch.luts <= base.luts,
+            "MCH should not need more LUTs on the demo"
+        );
     }
 
     #[test]
@@ -719,7 +742,9 @@ mod tests {
             .with_exact_area(true);
         let asic = asic_flow_mch(&net, &lib, &cfg);
         assert!(asic.verified, "exact-area ASIC flow failed verification");
-        let lut_cfg = MchConfig::lut_area().with_area_rounds(6).with_exact_area(true);
+        let lut_cfg = MchConfig::lut_area()
+            .with_area_rounds(6)
+            .with_exact_area(true);
         let fpga = lut_flow_mch(&net, &lut, &lut_cfg);
         assert!(fpga.verified, "exact-area LUT flow failed verification");
         // More recovery rounds plus the exact pass must not grow the cover
@@ -740,12 +765,8 @@ mod tests {
         assert_eq!(plain.netlist, off.netlist);
         // Fusion on: still a verified cover, whatever the mode.
         for mode in [FusionMode::Bias, FusionMode::Inject, FusionMode::Full] {
-            let fused = lut_flow_mch_fused(
-                &net,
-                &lut,
-                &lib,
-                &MchConfig::lut_fusion().with_fusion(mode),
-            );
+            let fused =
+                lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_fusion().with_fusion(mode));
             assert!(fused.verified, "{mode:?} flow failed verification");
             assert!(fused.luts >= 1);
             assert!(!fused.degradation.degraded());

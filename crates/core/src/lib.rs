@@ -37,7 +37,6 @@ pub mod service;
 pub use budget::{DegradationReport, DegradationStep, FlowBudget, StrategyClass};
 pub use config::MchConfig;
 pub use error::{validate_library, validate_lut_library, validate_network, FlowError};
-pub use prepared::{PreparedFlow, PreparedFlowCache};
 pub use flow::{
     asic_flow_baseline, asic_flow_dch, asic_flow_mch, lut_flow_baseline, lut_flow_mch,
     lut_flow_mch_fused, prepare_input, try_asic_flow_baseline, try_asic_flow_dch,
@@ -45,6 +44,7 @@ pub use flow::{
     try_lut_flow_mch, try_lut_flow_mch_fused, try_lut_flow_mch_fused_with_budget,
     try_lut_flow_mch_with_budget, AsicFlowResult, LutFlowResult,
 };
+pub use prepared::{PreparedFlow, PreparedFlowCache};
 pub use report::{geometric_mean, improvement_percent, FlowMetrics};
 pub use service::{Job, JobKind, JobOutput, JobReport, MappingService, ServiceStats};
 

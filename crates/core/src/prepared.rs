@@ -96,8 +96,7 @@ pub(crate) fn flow_fingerprint(network: &Network, key: &ChoiceKey) -> u64 {
 /// Rough heap footprint of a network for cache accounting: nodes, outputs
 /// and the structural-hash table (~one entry per gate).
 fn network_bytes(net: &Network) -> usize {
-    net.len() * (std::mem::size_of::<mch_logic::Node>() + 48)
-        + std::mem::size_of_val(net.outputs())
+    net.len() * (std::mem::size_of::<mch_logic::Node>() + 48) + std::mem::size_of_val(net.outputs())
 }
 
 /// Per-mapper prepared state, keyed by everything its preparation phase
@@ -213,7 +212,9 @@ impl PreparedFlow {
     ) -> Arc<PreparedCover<MatchCandidate>> {
         let mut mappers = self.lock_mappers();
         if let Some((_, prep)) = mappers.asic.iter().find(|(k, _)| {
-            k.ranking == params.cut_ranking && k.cut_limit == params.cut_limit && k.library == *library
+            k.ranking == params.cut_ranking
+                && k.cut_limit == params.cut_limit
+                && k.library == *library
         }) {
             return Arc::clone(prep);
         }
@@ -482,11 +483,9 @@ impl PreparedFlowCache {
             return;
         }
         let mut inner = self.lock_inner();
-        if inner
-            .entries
-            .iter()
-            .any(|e| e.fingerprint == flow.fingerprint() && e.flow.matches(&flow.network, &flow.key))
-        {
+        if inner.entries.iter().any(|e| {
+            e.fingerprint == flow.fingerprint() && e.flow.matches(&flow.network, &flow.key)
+        }) {
             return;
         }
         inner.stamp += 1;
@@ -562,11 +561,16 @@ mod tests {
         let hit = cache
             .lookup(flow_fingerprint(&net, &key), &net, &key)
             .expect("equal inputs must hit");
-        assert!(Arc::ptr_eq(&hit, &flow), "the hit must be the stored artifact");
+        assert!(
+            Arc::ptr_eq(&hit, &flow),
+            "the hit must be the stored artifact"
+        );
 
         // A config differing in a choice-relevant field misses...
         let other = ChoiceKey::from_config(&MchConfig::balanced());
-        assert!(cache.lookup(flow_fingerprint(&net, &other), &net, &other).is_none());
+        assert!(cache
+            .lookup(flow_fingerprint(&net, &other), &net, &other)
+            .is_none());
         // ...but one differing only in thread count normalises to the same key.
         let threaded = ChoiceKey::from_config(&config.clone().with_threads(7));
         assert_eq!(key, threaded);

@@ -430,9 +430,8 @@ impl MappingService {
         slots
             .into_iter()
             .map(|slot| {
-                let JobSlot { job, report } = slot
-                    .into_inner()
-                    .unwrap_or_else(PoisonError::into_inner);
+                let JobSlot { job, report } =
+                    slot.into_inner().unwrap_or_else(PoisonError::into_inner);
                 // Every claimed slot gets a report (run_job contains all job
                 // panics); this fallback only guards slot-level poisoning.
                 report.unwrap_or_else(|| JobReport {
@@ -605,7 +604,12 @@ mod tests {
             ),
             lut_job("lut", 2),
         ]);
-        assert!(reports[0].outcome.as_ref().expect("asic").as_asic().is_some());
+        assert!(reports[0]
+            .outcome
+            .as_ref()
+            .expect("asic")
+            .as_asic()
+            .is_some());
         assert!(reports[1].outcome.as_ref().expect("lut").as_lut().is_some());
     }
 
@@ -639,7 +643,12 @@ mod tests {
                 .expect("lut result")
                 .clone();
             let solo = cold
-                .run(Job::lut("solo", demo_adder_gt(), LutLibrary::k6(), cfg.clone()))
+                .run(Job::lut(
+                    "solo",
+                    demo_adder_gt(),
+                    LutLibrary::k6(),
+                    cfg.clone(),
+                ))
                 .outcome
                 .expect("solo failed");
             assert_eq!(warm.netlist, solo.as_lut().expect("lut result").netlist);

@@ -296,7 +296,9 @@ pub struct Cut {
 /// 64-bit leaf-set signature: bit `l.index() % 64` per leaf.
 #[inline]
 fn signature_of(leaves: &[NodeId]) -> u64 {
-    leaves.iter().fold(0u64, |acc, l| acc | 1 << (l.index() % 64))
+    leaves
+        .iter()
+        .fold(0u64, |acc, l| acc | 1 << (l.index() % 64))
 }
 
 /// `true` when the sorted leaf list `a` is a subset of (or equal to) the
@@ -336,7 +338,10 @@ impl Cut {
     /// Panics if more than [`MAX_CUT_SIZE`] leaves are given.
     pub fn new(root: NodeId, leaves: &[NodeId], function: TruthTable) -> Self {
         assert!(leaves.len() <= MAX_CUT_SIZE, "too many leaves");
-        debug_assert!(leaves.windows(2).all(|w| w[0] < w[1]), "leaves must be sorted");
+        debug_assert!(
+            leaves.windows(2).all(|w| w[0] < w[1]),
+            "leaves must be sorted"
+        );
         debug_assert_eq!(function.num_vars(), leaves.len());
         let mut inline = [NodeId::CONST0; MAX_CUT_SIZE];
         inline[..leaves.len()].copy_from_slice(leaves);
@@ -351,7 +356,12 @@ impl Cut {
     }
 
     /// Creates a cut with explicit mapping-cost estimates attached.
-    pub fn with_costs(root: NodeId, leaves: &[NodeId], function: TruthTable, costs: CutCosts) -> Self {
+    pub fn with_costs(
+        root: NodeId,
+        leaves: &[NodeId],
+        function: TruthTable,
+        costs: CutCosts,
+    ) -> Self {
         let mut cut = Cut::new(root, leaves, function);
         cut.costs = costs;
         cut

@@ -62,7 +62,10 @@ impl CutParams {
         );
         assert!(cut_limit >= 1, "at least one cut per node is required");
         // Fanin-cut indices are stored as u16 during enumeration.
-        assert!(cut_limit < u16::MAX as usize, "cut limit must fit in 16 bits");
+        assert!(
+            cut_limit < u16::MAX as usize,
+            "cut limit must fit in 16 bits"
+        );
         CutParams {
             cut_size,
             cut_limit,
@@ -347,10 +350,16 @@ fn compose_function(
     leaves: &[NodeId],
 ) -> TruthTable {
     match kind {
-        GateKind::And2 => fanin_table(fanins[0], fanin_cuts[0], leaves)
-            .and(&fanin_table(fanins[1], fanin_cuts[1], leaves)),
-        GateKind::Xor2 => fanin_table(fanins[0], fanin_cuts[0], leaves)
-            .xor(&fanin_table(fanins[1], fanin_cuts[1], leaves)),
+        GateKind::And2 => fanin_table(fanins[0], fanin_cuts[0], leaves).and(&fanin_table(
+            fanins[1],
+            fanin_cuts[1],
+            leaves,
+        )),
+        GateKind::Xor2 => fanin_table(fanins[0], fanin_cuts[0], leaves).xor(&fanin_table(
+            fanins[1],
+            fanin_cuts[1],
+            leaves,
+        )),
         GateKind::Maj3 => TruthTable::maj(
             &fanin_table(fanins[0], fanin_cuts[0], leaves),
             &fanin_table(fanins[1], fanin_cuts[1], leaves),
@@ -615,8 +624,7 @@ pub(crate) fn enumerate_node(
                     if sig_ab.count_ones() as usize > params.cut_size {
                         continue;
                     }
-                    let Some(ab) = LeafBuf::merge(ca.leaves(), cb.leaves(), params.cut_size)
-                    else {
+                    let Some(ab) = LeafBuf::merge(ca.leaves(), cb.leaves(), params.cut_size) else {
                         continue;
                     };
                     for ic in 0..lc {
@@ -625,8 +633,7 @@ pub(crate) fn enumerate_node(
                         if signature.count_ones() as usize > params.cut_size {
                             continue;
                         }
-                        let Some(leaves) = LeafBuf::merge(&ab, cc.leaves(), params.cut_size)
-                        else {
+                        let Some(leaves) = LeafBuf::merge(&ab, cc.leaves(), params.cut_size) else {
                             continue;
                         };
                         proto_insert(
@@ -810,9 +817,8 @@ mod tests {
         // proto dominates, else drop every kept proto the candidate dominates.
         fn insert_reference(protos: &mut Vec<LeafBuf>, cand: LeafBuf) {
             let sig = |l: &LeafBuf| l.iter().fold(0u64, |acc, n| acc | 1 << (n.index() % 64));
-            let subset = |a: &LeafBuf, b: &LeafBuf| {
-                crate::cut::sorted_leaf_subset(a, sig(a), b, sig(b))
-            };
+            let subset =
+                |a: &LeafBuf, b: &LeafBuf| crate::cut::sorted_leaf_subset(a, sig(a), b, sig(b));
             if protos.iter().any(|p| subset(p, &cand)) {
                 return;
             }
@@ -830,13 +836,22 @@ mod tests {
                 // Leaves drawn from a small id range so subsets are common;
                 // ids above 64 exercise signature aliasing.
                 let size = rng.gen_range(1..5);
-                let mut ids: Vec<NodeId> =
-                    (0..size).map(|_| NodeId::from_index(rng.gen_range(1..10) * 7)).collect();
+                let mut ids: Vec<NodeId> = (0..size)
+                    .map(|_| NodeId::from_index(rng.gen_range(1..10) * 7))
+                    .collect();
                 ids.sort();
                 ids.dedup();
                 let leaves = LeafBuf::from_slice(&ids);
                 let signature = ids.iter().fold(0u64, |acc, n| acc | 1 << (n.index() % 64));
-                proto_insert(&mut fast, leaves, signature, [0; 3], &node_costs, &fanout_est, &model);
+                proto_insert(
+                    &mut fast,
+                    leaves,
+                    signature,
+                    [0; 3],
+                    &node_costs,
+                    &fanout_est,
+                    &model,
+                );
                 insert_reference(&mut reference, leaves);
                 let kept: Vec<&[NodeId]> = fast.iter().map(|p| p.leaves.as_slice()).collect();
                 let expect: Vec<&[NodeId]> = reference.iter().map(|l| l.as_slice()).collect();
@@ -1090,7 +1105,12 @@ mod tests {
         let root = s.node();
         let pis: Vec<NodeId> = n.inputs().to_vec();
         let pi_cut = Cut::with_costs(root, &pis, TruthTable::zeros(3), cuts.leaf_costs(&pis));
-        cuts.extend_node(root, &[pi_cut], cuts.of(root).len() - 2, CutCost::Structural);
+        cuts.extend_node(
+            root,
+            &[pi_cut],
+            cuts.of(root).len() - 2,
+            CutCost::Structural,
+        );
         let single = Cut::with_costs(
             root,
             &pis[..1],
@@ -1130,12 +1150,7 @@ mod tests {
         let before = cuts.of(root).len();
         // Fabricate an inherited cut over the PIs.
         let pis: Vec<NodeId> = n.inputs().to_vec();
-        let extra = Cut::with_costs(
-            root,
-            &pis,
-            TruthTable::zeros(3),
-            cuts.leaf_costs(&pis),
-        );
+        let extra = Cut::with_costs(root, &pis, TruthTable::zeros(3), cuts.leaf_costs(&pis));
         cuts.extend_node(root, &[extra], 16, CutCost::Structural);
         assert!(cuts.of(root).len() <= 16);
         assert!(cuts.of(root).len() >= before.min(16));

@@ -169,7 +169,9 @@ pub struct LegacyCut {
 impl LegacyCut {
     /// Creates a cut from its parts. Leaves must already be sorted.
     pub fn new(root: NodeId, leaves: Vec<NodeId>, function: LegacyTable) -> Self {
-        let signature = leaves.iter().fold(0u64, |acc, l| acc | 1 << (l.index() % 64));
+        let signature = leaves
+            .iter()
+            .fold(0u64, |acc, l| acc | 1 << (l.index() % 64));
         LegacyCut {
             root,
             leaves,
@@ -221,7 +223,9 @@ impl LegacyCut {
         if self.signature & !other.signature != 0 {
             return false;
         }
-        self.leaves.iter().all(|l| other.leaves.binary_search(l).is_ok())
+        self.leaves
+            .iter()
+            .all(|l| other.leaves.binary_search(l).is_ok())
     }
 
     /// Merges two leaf sets into a fresh `Vec`, the original allocation-heavy
@@ -425,12 +429,8 @@ pub fn legacy_enumerate_cuts(network: &Network, params: &CutParams) -> LegacyNet
                             if let Some(leaves) =
                                 LegacyCut::merge_leaves(&ab_cut, cc, params.cut_size)
                             {
-                                let f = compose_function(
-                                    node.kind(),
-                                    &fanins,
-                                    &[ca, cb, cc],
-                                    &leaves,
-                                );
+                                let f =
+                                    compose_function(node.kind(), &fanins, &[ca, cb, cc], &leaves);
                                 set.insert(LegacyCut::new(id, leaves, f));
                             }
                         }

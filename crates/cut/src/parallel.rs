@@ -261,11 +261,7 @@ impl WorkerPool {
     /// [`level_parallel`]). When called *from* a pool worker everything runs
     /// inline on the calling thread (jobs first, then `main`) to keep an
     /// exhausted pool from deadlocking on nested phases.
-    pub fn run_with<'env>(
-        &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'env>>,
-        main: impl FnOnce(),
-    ) {
+    pub fn run_with<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>, main: impl FnOnce()) {
         if jobs.is_empty() {
             main();
             return;
@@ -320,9 +316,8 @@ impl WorkerPool {
                 // can never outlive the data they point into. The wrapper
                 // catches job panics, so a worker always reaches the latch
                 // decrement.
-                let wrapped: Job = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(wrapped)
-                };
+                let wrapped: Job =
+                    unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(wrapped) };
                 queue.jobs.push_back(wrapped);
             }
             self.shared.ready.notify_all();
@@ -572,8 +567,7 @@ pub fn level_parallel<T, S, R>(
                 let mut scratch = init();
                 while let Some(task) = queue.pop() {
                     let shard = &levels[task.level][task.start..task.end];
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| work(&mut scratch, shard)));
+                    let result = catch_unwind(AssertUnwindSafe(|| work(&mut scratch, shard)));
                     let died = result.is_err();
                     if result_tx.send((task.chunk, result)).is_err() || died {
                         break;
@@ -988,10 +982,7 @@ mod tests {
             );
         });
         let payload = caught.expect_err("the worker panic must reach the caller");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .unwrap_or_default();
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "worker exploded on purpose");
     }
 

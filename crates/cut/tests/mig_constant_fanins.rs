@@ -12,8 +12,8 @@ fn mig_with_constant_fanins_matches_legacy() {
     let b = n.add_input();
     let c = n.add_input();
     let d = n.add_input();
-    let ab = n.or(a, b);   // Maj(a, b, const1)
-    let cd = n.and(c, d);  // Maj(c, d, const0)
+    let ab = n.or(a, b); // Maj(a, b, const1)
+    let cd = n.and(c, d); // Maj(c, d, const0)
     let m1 = n.maj3(ab, cd, c);
     let m2 = n.maj3(m1, !cd, d);
     n.add_output(m2);

@@ -49,10 +49,7 @@ pub fn read_aiger(text: &str) -> Result<Network, ParseAigerError> {
         .ok_or_else(|| ParseAigerError::new("empty file", 1))?;
     let fields: Vec<&str> = header.split_whitespace().collect();
     if fields.len() < 6 || fields[0] != "aag" {
-        return Err(ParseAigerError::new(
-            "header must be 'aag M I L O A'",
-            1,
-        ));
+        return Err(ParseAigerError::new("header must be 'aag M I L O A'", 1));
     }
     let parse = |s: &str, what: &str, line: usize| -> Result<usize, ParseAigerError> {
         s.parse()
@@ -138,7 +135,10 @@ pub fn read_aiger(text: &str) -> Result<Network, ParseAigerError> {
             .ok_or_else(|| ParseAigerError::new("missing AND line", 0))?;
         let parts: Vec<&str> = line.split_whitespace().collect();
         if parts.len() != 3 {
-            return Err(ParseAigerError::new("AND line must have three literals", idx + 1));
+            return Err(ParseAigerError::new(
+                "AND line must have three literals",
+                idx + 1,
+            ));
         }
         let lhs: usize = parse(parts[0], "AND output literal", idx + 1)?;
         let rhs0: usize = parse(parts[1], "AND fanin literal", idx + 1)?;
@@ -154,11 +154,9 @@ pub fn read_aiger(text: &str) -> Result<Network, ParseAigerError> {
         }
         let resolve = |lit: usize, line: usize| -> Result<Signal, ParseAigerError> {
             let var = lit / 2;
-            let base = map
-                .get(var)
-                .copied()
-                .flatten()
-                .ok_or_else(|| ParseAigerError::new(format!("literal {lit} used before definition"), line))?;
+            let base = map.get(var).copied().flatten().ok_or_else(|| {
+                ParseAigerError::new(format!("literal {lit} used before definition"), line)
+            })?;
             Ok(base.xor_complement(lit % 2 == 1))
         };
         let a = resolve(rhs0, idx + 1)?;

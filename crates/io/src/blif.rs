@@ -197,7 +197,10 @@ pub fn read_blif(text: &str) -> Result<Network, ParseBlifError> {
     for name in &input_names {
         let s = net.add_input();
         if signals.insert(name.clone(), s).is_some() {
-            return Err(ParseBlifError::new(format!("input '{name}' declared twice"), 1));
+            return Err(ParseBlifError::new(
+                format!("input '{name}' declared twice"),
+                1,
+            ));
         }
     }
     for cover in covers {
@@ -232,7 +235,10 @@ pub fn read_blif(text: &str) -> Result<Network, ParseBlifError> {
     }
     for name in &output_names {
         let Some(&s) = signals.get(name) else {
-            return Err(ParseBlifError::new(format!("output '{name}' is undefined"), 1));
+            return Err(ParseBlifError::new(
+                format!("output '{name}' is undefined"),
+                1,
+            ));
         };
         net.add_output(s);
     }
@@ -262,11 +268,19 @@ fn node_name(network: &Network, node: NodeId) -> String {
 /// cover rows, so the output loads into any BLIF-reading tool unchanged.
 pub fn write_blif(network: &Network) -> String {
     let mut out = String::new();
-    let model = if network.name().is_empty() { "top" } else { network.name() };
+    let model = if network.name().is_empty() {
+        "top"
+    } else {
+        network.name()
+    };
     let _ = writeln!(out, ".model {model}");
-    let inputs: Vec<String> = (0..network.input_count()).map(|i| format!("pi{i}")).collect();
+    let inputs: Vec<String> = (0..network.input_count())
+        .map(|i| format!("pi{i}"))
+        .collect();
     let _ = writeln!(out, ".inputs {}", inputs.join(" "));
-    let outputs: Vec<String> = (0..network.output_count()).map(|i| format!("po{i}")).collect();
+    let outputs: Vec<String> = (0..network.output_count())
+        .map(|i| format!("po{i}"))
+        .collect();
     let _ = writeln!(out, ".outputs {}", outputs.join(" "));
     let _ = writeln!(out, ".names const0");
 
@@ -329,11 +343,19 @@ fn net_ref_name(r: &NetRef) -> String {
 /// complete LUT truth tables).
 pub fn write_lut_blif(netlist: &LutNetlist) -> String {
     let mut out = String::new();
-    let model = if netlist.name().is_empty() { "top" } else { netlist.name() };
+    let model = if netlist.name().is_empty() {
+        "top"
+    } else {
+        netlist.name()
+    };
     let _ = writeln!(out, ".model {model}");
-    let inputs: Vec<String> = (0..netlist.input_count()).map(|i| format!("pi{i}")).collect();
+    let inputs: Vec<String> = (0..netlist.input_count())
+        .map(|i| format!("pi{i}"))
+        .collect();
     let _ = writeln!(out, ".inputs {}", inputs.join(" "));
-    let outputs: Vec<String> = (0..netlist.outputs().len()).map(|i| format!("po{i}")).collect();
+    let outputs: Vec<String> = (0..netlist.outputs().len())
+        .map(|i| format!("po{i}"))
+        .collect();
     let _ = writeln!(out, ".outputs {}", outputs.join(" "));
     let _ = writeln!(out, ".names const0");
     let _ = writeln!(out, ".names const1");

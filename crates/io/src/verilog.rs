@@ -33,10 +33,7 @@ impl fmt::Display for ParseVerilogError {
 impl std::error::Error for ParseVerilogError {}
 
 /// Resolves a net token against the declared wires and constants.
-fn resolve_net(
-    nets: &HashMap<String, NetRef>,
-    token: &str,
-) -> Result<NetRef, ParseVerilogError> {
+fn resolve_net(nets: &HashMap<String, NetRef>, token: &str) -> Result<NetRef, ParseVerilogError> {
     match token {
         "1'b0" => Ok(NetRef::Const(false)),
         "1'b1" => Ok(NetRef::Const(true)),
@@ -207,12 +204,13 @@ pub fn read_verilog(text: &str, library: &Library) -> Result<CellNetlist, ParseV
             }
             fanins[slot] = Some(resolve_net(&nets, &net)?);
         }
-        let fanins: Vec<NetRef> = fanins
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .ok_or_else(|| {
-                ParseVerilogError::new(format!("instance of '{cell_name}' leaves a pin open"))
-            })?;
+        let fanins: Vec<NetRef> =
+            fanins
+                .into_iter()
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| {
+                    ParseVerilogError::new(format!("instance of '{cell_name}' leaves a pin open"))
+                })?;
         let Some(out_net) = out_net else {
             return Err(ParseVerilogError::new(format!(
                 "instance of '{cell_name}' has no .Y output connection"
@@ -259,9 +257,17 @@ fn wire_name(r: &NetRef) -> String {
 /// port names matching the BLIF writer.
 pub fn write_verilog(netlist: &CellNetlist, library: &Library) -> String {
     let mut out = String::new();
-    let module = if netlist.name().is_empty() { "top" } else { netlist.name() };
-    let inputs: Vec<String> = (0..netlist.input_count()).map(|i| format!("pi{i}")).collect();
-    let outputs: Vec<String> = (0..netlist.output_count()).map(|i| format!("po{i}")).collect();
+    let module = if netlist.name().is_empty() {
+        "top"
+    } else {
+        netlist.name()
+    };
+    let inputs: Vec<String> = (0..netlist.input_count())
+        .map(|i| format!("pi{i}"))
+        .collect();
+    let outputs: Vec<String> = (0..netlist.output_count())
+        .map(|i| format!("po{i}"))
+        .collect();
     let mut ports = inputs.clone();
     ports.extend(outputs.iter().cloned());
     let _ = writeln!(out, "module {module} ({});", ports.join(", "));

@@ -6,7 +6,9 @@
 //! in any parser fails the test. The pristine files must round-trip.
 
 use mch_choice::ChoiceNetwork;
-use mch_io::{read_aiger, read_blif, read_verilog, write_aiger, write_blif, write_lut_blif, write_verilog};
+use mch_io::{
+    read_aiger, read_blif, read_verilog, write_aiger, write_blif, write_lut_blif, write_verilog,
+};
 use mch_logic::{cec, Network, NetworkKind, Prng, Signal};
 use mch_mapper::{map_asic, map_lut, AsicMapParams, LutMapParams, MappingObjective};
 use mch_techlib::{asap7_lite, Library, LutLibrary};
@@ -106,9 +108,7 @@ fn fuzz<T>(seed: u64, pristine: &str, parse: impl Fn(&str) -> Option<T>) -> usiz
         let outcome = catch_unwind(AssertUnwindSafe(|| parse(&text).is_some()));
         match outcome {
             Ok(parsed) => survivors += usize::from(parsed),
-            Err(_) => panic!(
-                "parser panicked on mutant (seed {seed}, round {round}):\n{text}"
-            ),
+            Err(_) => panic!("parser panicked on mutant (seed {seed}, round {round}):\n{text}"),
         }
     }
     survivors
@@ -151,7 +151,10 @@ fn lut_blif_reader_never_panics_on_mutated_input() {
     );
     let pristine = write_lut_blif(&mapped);
     let back = read_blif(&pristine).expect("pristine LUT BLIF must parse");
-    assert!(cec(&net, &back).holds(), "pristine LUT BLIF must round-trip");
+    assert!(
+        cec(&net, &back).holds(),
+        "pristine LUT BLIF must round-trip"
+    );
     fuzz(0x1B11F, &pristine, |t| read_blif(t).ok());
 }
 

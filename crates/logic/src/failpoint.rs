@@ -30,9 +30,15 @@ pub const PANIC_PREFIX: &str = "fault injected";
 enum Mode {
     Disarmed,
     /// Fire `(name, k)` when `hash(seed, name, k)` maps below `density`.
-    Seeded { seed: u64, density: f64 },
+    Seeded {
+        seed: u64,
+        density: f64,
+    },
     /// Fire only the listed hit indices (0-based) of one named site.
-    Exact { name: String, indices: Vec<u64> },
+    Exact {
+        name: String,
+        indices: Vec<u64>,
+    },
 }
 
 struct Registry {

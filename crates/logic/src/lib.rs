@@ -56,12 +56,12 @@ pub use npn::{npn_apply_inverse, npn_canonical, npn_semi_canonical, NpnCanonical
 pub use rng::Prng;
 pub use signal::{NodeId, Signal};
 pub use simulate::{
-    cec, equivalent_exhaustive, equivalent_random, output_truth_tables, simulate, simulate_nodes, Equivalence,
+    cec, equivalent_exhaustive, equivalent_random, output_truth_tables, simulate, simulate_nodes,
+    Equivalence,
 };
 pub use stats::NetworkStats;
 pub use traversal::{
-    critical_path_nodes, levelize, mffc, transitive_fanin, transitive_fanout, Fanouts, Levels,
-    Mffc,
+    critical_path_nodes, levelize, mffc, transitive_fanin, transitive_fanout, Fanouts, Levels, Mffc,
 };
 pub use truth::TruthTable;
 

@@ -219,7 +219,8 @@ impl Network {
     /// Adds a primary input and returns its (positive) signal.
     pub fn add_input(&mut self) -> Signal {
         let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node::new(GateKind::Input, [Signal::CONST0; 3], 0));
+        self.nodes
+            .push(Node::new(GateKind::Input, [Signal::CONST0; 3], 0));
         self.inputs.push(id);
         id.signal()
     }
@@ -302,7 +303,11 @@ impl Network {
             return a;
         }
         self.assert_allowed(GateKind::And2);
-        let (a, b) = if a.literal() <= b.literal() { (a, b) } else { (b, a) };
+        let (a, b) = if a.literal() <= b.literal() {
+            (a, b)
+        } else {
+            (b, a)
+        };
         self.push_gate(GateKind::And2, [a, b, Signal::CONST0])
     }
 
@@ -335,7 +340,11 @@ impl Network {
         self.assert_allowed(GateKind::Xor2);
         let out_compl = a.is_complement() ^ b.is_complement();
         let (a, b) = (a.abs(), b.abs());
-        let (a, b) = if a.literal() <= b.literal() { (a, b) } else { (b, a) };
+        let (a, b) = if a.literal() <= b.literal() {
+            (a, b)
+        } else {
+            (b, a)
+        };
         self.push_gate(GateKind::Xor2, [a, b, Signal::CONST0])
             .xor_complement(out_compl)
     }
@@ -375,7 +384,8 @@ impl Network {
             }
         }
         fanins.sort_by_key(|s| s.literal());
-        self.push_gate(GateKind::Maj3, fanins).xor_complement(out_compl)
+        self.push_gate(GateKind::Maj3, fanins)
+            .xor_complement(out_compl)
     }
 
     // ------------------------------------------------------------------
@@ -553,7 +563,11 @@ impl Network {
             let f: Vec<Signal> = node
                 .fanins()
                 .iter()
-                .map(|s| map[s.node().index()].expect("fanin precedes node").xor_complement(s.is_complement()))
+                .map(|s| {
+                    map[s.node().index()]
+                        .expect("fanin precedes node")
+                        .xor_complement(s.is_complement())
+                })
                 .collect();
             let new = match node.kind() {
                 GateKind::And2 => out.and2(f[0], f[1]),

@@ -84,7 +84,11 @@ impl ExactSearch {
         }
         for i in k..self.num_vars {
             self.perm.swap(k, i);
-            let swapped = if i == k { table } else { swap_vars(table, k, i) };
+            let swapped = if i == k {
+                table
+            } else {
+                swap_vars(table, k, i)
+            };
             self.permutations(swapped, k + 1);
             self.perm.swap(k, i);
         }
@@ -141,7 +145,10 @@ impl ExactSearch {
 /// as `2 * n! * 2^n`; use [`npn_semi_canonical`] for larger functions).
 pub fn npn_canonical(function: &TruthTable) -> NpnCanonical {
     let n = function.num_vars();
-    assert!(n <= 5, "exact NPN canonicalisation supports at most 5 variables");
+    assert!(
+        n <= 5,
+        "exact NPN canonicalisation supports at most 5 variables"
+    );
     let mut search = ExactSearch {
         num_vars: n,
         mask: (1u64 << (1u32 << n)) - 1,
@@ -177,7 +184,11 @@ pub fn npn_semi_canonical(function: &TruthTable) -> NpnCanonical {
     // Output polarity: make the off-set at least as large as the on-set.
     let ones = function.count_ones() as usize;
     let output_neg = ones > function.num_bits() / 2;
-    let mut t = if output_neg { function.not() } else { function.clone() };
+    let mut t = if output_neg {
+        function.not()
+    } else {
+        function.clone()
+    };
     // Input polarity: prefer the polarity whose positive cofactor has fewer ones.
     let mut input_neg_original = 0u32;
     for v in 0..n {
@@ -206,7 +217,8 @@ pub fn npn_semi_canonical(function: &TruthTable) -> NpnCanonical {
         input_neg,
         output_neg,
     };
-    let representative = function.transform(&transform.perm, transform.input_neg, transform.output_neg);
+    let representative =
+        function.transform(&transform.perm, transform.input_neg, transform.output_neg);
     NpnCanonical {
         representative,
         transform,
@@ -219,7 +231,11 @@ pub fn npn_semi_canonical(function: &TruthTable) -> NpnCanonical {
 /// `npn_apply_inverse(&canonical, &transform) == function`.
 pub fn npn_apply_inverse(table: &TruthTable, transform: &NpnTransform) -> TruthTable {
     let n = table.num_vars();
-    let mut t = if transform.output_neg { table.not() } else { table.clone() };
+    let mut t = if transform.output_neg {
+        table.not()
+    } else {
+        table.clone()
+    };
     for v in 0..n {
         if transform.input_neg & (1 << v) != 0 {
             t = t.flip_var(v);
@@ -261,7 +277,10 @@ mod tests {
     /// transform and all.
     fn npn_canonical_reference(function: &TruthTable) -> NpnCanonical {
         let n = function.num_vars();
-        assert!(n <= 5, "exact NPN canonicalisation supports at most 5 variables");
+        assert!(
+            n <= 5,
+            "exact NPN canonicalisation supports at most 5 variables"
+        );
         let mut best: Option<NpnCanonical> = None;
         for perm in permutations(n) {
             for input_neg in 0..(1u32 << n) {
@@ -316,7 +335,9 @@ mod tests {
     #[test]
     fn exact_search_matches_reference_on_seeded_five_variable_functions() {
         let mut rng = crate::Prng::seed_from_u64(0x4E50_4E35);
-        let functions: Vec<TruthTable> = (0..1_000).map(|_| TruthTable::from_u64(5, rng.next_u64())).collect();
+        let functions: Vec<TruthTable> = (0..1_000)
+            .map(|_| TruthTable::from_u64(5, rng.next_u64()))
+            .collect();
         assert_matches_reference(&functions);
     }
 

@@ -64,7 +64,10 @@ impl Prng {
     ///
     /// Panics if the range is empty.
     pub fn gen_range(&mut self, range: std::ops::Range<usize>) -> usize {
-        assert!(range.start < range.end, "gen_range requires a non-empty range");
+        assert!(
+            range.start < range.end,
+            "gen_range requires a non-empty range"
+        );
         let span = (range.end - range.start) as u64;
         // Multiply-shift rejection-free mapping; bias is negligible for the
         // small spans used here (< 2^32).

@@ -4,8 +4,8 @@
 //! networks are checked exhaustively, larger ones with high-volume randomized
 //! simulation (see `DESIGN.md`, substitution table).
 
-use crate::{GateKind, Network, TruthTable};
 use crate::rng::Prng;
+use crate::{GateKind, Network, TruthTable};
 
 /// Outcome of an equivalence check.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -24,7 +24,10 @@ impl Equivalence {
     /// `true` for [`Equivalence::Equivalent`] and
     /// [`Equivalence::ProbablyEquivalent`].
     pub fn holds(self) -> bool {
-        matches!(self, Equivalence::Equivalent | Equivalence::ProbablyEquivalent)
+        matches!(
+            self,
+            Equivalence::Equivalent | Equivalence::ProbablyEquivalent
+        )
     }
 }
 
@@ -233,7 +236,10 @@ mod tests {
 
     #[test]
     fn equivalent_across_representations() {
-        assert_eq!(equivalent_exhaustive(&xor_aig(), &xor_xag()), Equivalence::Equivalent);
+        assert_eq!(
+            equivalent_exhaustive(&xor_aig(), &xor_xag()),
+            Equivalence::Equivalent
+        );
         assert!(cec(&xor_aig(), &xor_xag()).holds());
     }
 

@@ -64,7 +64,11 @@ impl fmt::Display for NetworkStats {
         write!(
             f,
             "{} [{}]: i/o = {}/{}, gates = {} (and {}, xor {}, maj {}), depth = {}",
-            if self.name.is_empty() { "<unnamed>" } else { &self.name },
+            if self.name.is_empty() {
+                "<unnamed>"
+            } else {
+                &self.name
+            },
             self.kind,
             self.inputs,
             self.outputs,

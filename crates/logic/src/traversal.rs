@@ -201,12 +201,20 @@ pub fn mffc(network: &Network, root: NodeId, max_inputs: usize) -> Mffc {
                 leaves.push(fid);
                 if leaves.len() > max_inputs {
                     // Too many leaves: stop growing, keep what we have.
-                    return Mffc { root, nodes, leaves };
+                    return Mffc {
+                        root,
+                        nodes,
+                        leaves,
+                    };
                 }
             }
         }
     }
-    Mffc { root, nodes, leaves }
+    Mffc {
+        root,
+        nodes,
+        leaves,
+    }
 }
 
 fn count_fanouts_inside(network: &Network, node: NodeId, inside: &HashSet<NodeId>) -> usize {
@@ -214,13 +222,7 @@ fn count_fanouts_inside(network: &Network, node: NodeId, inside: &HashSet<NodeId
     // nodes read it. Cone sizes are small so the scan is cheap.
     inside
         .iter()
-        .filter(|&&m| {
-            network
-                .node(m)
-                .fanins()
-                .iter()
-                .any(|s| s.node() == node)
-        })
+        .filter(|&&m| network.node(m).fanins().iter().any(|s| s.node() == node))
         .count()
 }
 

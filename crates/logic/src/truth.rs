@@ -83,7 +83,10 @@ impl TruthTable {
     ///
     /// Panics if `num_vars > 16`.
     pub fn zeros(num_vars: usize) -> Self {
-        assert!(num_vars <= MAX_VARS, "at most {MAX_VARS} variables supported");
+        assert!(
+            num_vars <= MAX_VARS,
+            "at most {MAX_VARS} variables supported"
+        );
         let repr = if num_vars <= INLINE_VARS {
             Repr::Small(0)
         } else {
@@ -802,7 +805,10 @@ mod tests {
             );
             with_dont_cares += usize::from(support.len() < vars);
         }
-        assert!(with_dont_cares >= 1_000, "only {with_dont_cares} had don't-cares");
+        assert!(
+            with_dont_cares >= 1_000,
+            "only {with_dont_cares} had don't-cares"
+        );
     }
 
     #[test]
@@ -950,7 +956,11 @@ mod tests {
         let f = TruthTable::ite(&s, &t, &e);
         for i in 0..8 {
             let sel = i & 1 != 0;
-            let expect = if sel { (i >> 1) & 1 != 0 } else { (i >> 2) & 1 != 0 };
+            let expect = if sel {
+                (i >> 1) & 1 != 0
+            } else {
+                (i >> 2) & 1 != 0
+            };
             assert_eq!(f.bit(i), expect);
         }
     }

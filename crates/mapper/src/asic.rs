@@ -255,10 +255,7 @@ impl CoverTarget for AsicTarget<'_> {
         // as a guaranteed-matchable candidate.
         let fallback = direct_fanin_cut(net, id);
         let enumerated = self.cuts.of(id).iter().map(|c| (c.leaves(), c.function()));
-        let all = enumerated.chain(std::iter::once((
-            fallback.0.as_slice(),
-            &fallback.1,
-        )));
+        let all = enumerated.chain(std::iter::once((fallback.0.as_slice(), &fallback.1)));
         for (cut_leaves, function) in all {
             if cut_leaves.len() == 1 && cut_leaves[0] == id {
                 continue; // trivial cut
@@ -278,7 +275,11 @@ impl CoverTarget for AsicTarget<'_> {
             for m in matches {
                 let area = library.cell(m.cell()).area() + m.inverter_count() as f64 * inv_area;
                 let delay = library.cell(m.cell()).delay()
-                    + if m.inverter_count() > 0 { inv_delay } else { 0.0 };
+                    + if m.inverter_count() > 0 {
+                        inv_delay
+                    } else {
+                        0.0
+                    };
                 if best_area.is_none_or(|b| {
                     area < library.cell(b.cell()).area() + b.inverter_count() as f64 * inv_area
                 }) {
@@ -287,7 +288,11 @@ impl CoverTarget for AsicTarget<'_> {
                 if best_delay.is_none_or(|b| {
                     delay
                         < library.cell(b.cell()).delay()
-                            + if b.inverter_count() > 0 { inv_delay } else { 0.0 }
+                            + if b.inverter_count() > 0 {
+                                inv_delay
+                            } else {
+                                0.0
+                            }
                 }) {
                     best_delay = Some(m);
                 }
@@ -300,8 +305,7 @@ impl CoverTarget for AsicTarget<'_> {
                     pin_perm: m.perm().to_vec(),
                     input_neg: m.input_neg(),
                     output_neg: m.output_neg(),
-                    area: library.cell(m.cell()).area()
-                        + m.inverter_count() as f64 * inv_area,
+                    area: library.cell(m.cell()).area() + m.inverter_count() as f64 * inv_area,
                     cell_delay: library.cell(m.cell()).delay(),
                     output_extra: if m.output_neg() { inv_delay } else { 0.0 },
                 };
@@ -441,11 +445,7 @@ impl CoverTarget for AsicTarget<'_> {
 /// [`mch_techlib::asap7_lite`] library always matches the 2- and 3-input
 /// primitive functions, so this only happens with deliberately crippled
 /// libraries).
-pub fn map_asic(
-    choice: &ChoiceNetwork,
-    library: &Library,
-    params: &AsicMapParams,
-) -> CellNetlist {
+pub fn map_asic(choice: &ChoiceNetwork, library: &Library, params: &AsicMapParams) -> CellNetlist {
     let cut_size = library.max_inputs().clamp(3, 6);
     let mut cuts = prepare_cuts(
         choice,

@@ -95,12 +95,7 @@ pub trait CoverTarget {
 
     /// Required time imposed on leaf `leaf_index` when the root must be ready
     /// by `root_required`.
-    fn leaf_required(
-        &self,
-        cand: &Self::Candidate,
-        leaf_index: usize,
-        root_required: f64,
-    ) -> f64;
+    fn leaf_required(&self, cand: &Self::Candidate, leaf_index: usize, root_required: f64) -> f64;
 
     /// Emits the selected cover as a netlist.
     fn emit(&self, net: &Network, cover: &Cover<'_, Self::Candidate>) -> Self::Netlist;
@@ -960,8 +955,7 @@ mod tests {
                         continue;
                     }
                     let (reduced, support) = cut.function().shrink_to_support();
-                    let leaves: Vec<NodeId> =
-                        support.iter().map(|&i| cut.leaves()[i]).collect();
+                    let leaves: Vec<NodeId> = support.iter().map(|&i| cut.leaves()[i]).collect();
                     if leaves.is_empty()
                         || problem
                             .candidates_of(id)
@@ -975,7 +969,10 @@ mod tests {
                     injected += 1;
                 }
             }
-            assert!(injected > 0, "no cone was injected; the test proves nothing");
+            assert!(
+                injected > 0,
+                "no cone was injected; the test proves nothing"
+            );
             problem
         };
 

@@ -271,8 +271,7 @@ fn harvest_from_selection(
     let selection = problem.solve_selection(&guide_asic_params(params).engine_params());
 
     // The winning cover: the selected cell cone of every needed gate.
-    let mut selected: Vec<Option<(Vec<NodeId>, TruthTable)>> =
-        vec![None; choice.network().len()];
+    let mut selected: Vec<Option<(Vec<NodeId>, TruthTable)>> = vec![None; choice.network().len()];
     for &id in problem.original_gates() {
         if selection.is_needed(id) {
             let (leaves, function) = problem.selected(&selection, id).cone();
@@ -403,8 +402,7 @@ fn apply_cones(
             }
             None => {
                 if mode.injects() {
-                    let cand =
-                        LutCandidate::from_cone(cone.leaves.clone(), cone.function.clone());
+                    let cand = LutCandidate::from_cone(cone.leaves.clone(), cone.function.clone());
                     let i = problem.inject_candidate(cone.root, cand);
                     if mode.biases() {
                         problem.set_bonus(cone.root, i, bonus);

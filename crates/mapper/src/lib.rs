@@ -58,8 +58,8 @@ pub use fusion::{
 };
 pub use lut::{map_lut, map_lut_network, map_lut_with_cuts, LutCandidate, LutMapParams, LutTarget};
 pub use mapping::{prepare_cuts, MappingObjective};
+pub use mch_cut::{CutCost, CutCostModel, CutCosts};
+pub use netlist::{CellNetlist, LutNetlist, MappedCell, MappedLut, NetRef};
 pub use prepared::{
     map_asic_prepared, map_lut_prepared, prepare_asic_cover, prepare_lut_cover, PreparedCover,
 };
-pub use mch_cut::{CutCost, CutCostModel, CutCosts};
-pub use netlist::{CellNetlist, LutNetlist, MappedCell, MappedLut, NetRef};

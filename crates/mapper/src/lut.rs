@@ -438,8 +438,16 @@ mod tests {
     #[test]
     fn delay_objective_minimises_levels() {
         let net = adder4();
-        let delay = map_lut_network(&net, &LutLibrary::k6(), &LutMapParams::new(MappingObjective::Delay));
-        let area = map_lut_network(&net, &LutLibrary::k6(), &LutMapParams::new(MappingObjective::Area));
+        let delay = map_lut_network(
+            &net,
+            &LutLibrary::k6(),
+            &LutMapParams::new(MappingObjective::Delay),
+        );
+        let area = map_lut_network(
+            &net,
+            &LutLibrary::k6(),
+            &LutMapParams::new(MappingObjective::Area),
+        );
         assert!(delay.level_count() <= area.level_count());
     }
 
@@ -479,7 +487,8 @@ mod tests {
                     let full =
                         map_lut_network(&net, &LutLibrary::k6(), &params.with_memoise(false));
                     assert_eq!(
-                        memo, full,
+                        memo,
+                        full,
                         "{}: {objective:?} with {rounds} rounds diverged",
                         net.name()
                     );

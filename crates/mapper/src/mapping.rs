@@ -247,9 +247,7 @@ fn transfer_choice_cuts(
                 }
                 // Keep the set bounded (the paper's line 8) while retaining
                 // room for both structural and inherited cuts.
-                if let Some(ranked) =
-                    cuts.ranked_extension(repr, inherited, cut_limit * 2, cost)
-                {
+                if let Some(ranked) = cuts.ranked_extension(repr, inherited, cut_limit * 2, cost) {
                     extensions.push((repr, ranked));
                 }
             }
@@ -474,8 +472,7 @@ mod tests {
                 let params = CutParams::new(cut_size, cut_limit).with_cost(cost);
                 let fast = prepare_cuts(&choice, cut_size, cut_limit, cost, &model, 1);
                 let full = mch_cut::enumerate_cuts_threaded(net, &params, &model, 1);
-                let reference =
-                    transfer_choice_cuts(&choice, full, cut_size, cut_limit, cost, 1);
+                let reference = transfer_choice_cuts(&choice, full, cut_size, cut_limit, cost, 1);
                 for id in net.gate_ids() {
                     if live[id.index()] {
                         assert!(
@@ -492,7 +489,10 @@ mod tests {
                 }
                 assert_eq!(fast.wasted_slots(), reference.wasted_slots(), "{what}");
                 let threaded = prepare_cuts(&choice, cut_size, cut_limit, cost, &model, 4);
-                assert!(threaded.identical(&fast), "{what} k={cut_size}: 4 threads diverged");
+                assert!(
+                    threaded.identical(&fast),
+                    "{what} k={cut_size}: 4 threads diverged"
+                );
             }
         }
         assert!(dead_total > 0, "{name}: no flow network has a dead gate");
@@ -538,8 +538,14 @@ mod tests {
         assert!(choice.add_choice(h.node(), linked));
         assert!(!choice.is_original(dead.node()));
         let cuts = prepare_cuts(&choice, 4, 8, CutCost::Hybrid, &CutCostModel::unit(), 1);
-        assert!(cuts.of(dead.node()).is_empty(), "the unlinked gate was enumerated");
-        assert!(!cuts.of(linked.node()).is_empty(), "the linked choice lost its cuts");
+        assert!(
+            cuts.of(dead.node()).is_empty(),
+            "the unlinked gate was enumerated"
+        );
+        assert!(
+            !cuts.of(linked.node()).is_empty(),
+            "the linked choice lost its cuts"
+        );
         assert!(net.gate_ids().all(|id| !cuts.of(id).is_empty()));
     }
 
@@ -551,7 +557,10 @@ mod tests {
     #[test]
     fn objective_rankings() {
         assert_eq!(MappingObjective::Delay.default_ranking(), CutCost::Depth);
-        assert_eq!(MappingObjective::Balanced.default_ranking(), CutCost::Hybrid);
+        assert_eq!(
+            MappingObjective::Balanced.default_ranking(),
+            CutCost::Hybrid
+        );
         assert_eq!(MappingObjective::Area.default_ranking(), CutCost::Area);
     }
 
@@ -559,7 +568,14 @@ mod tests {
     fn prepared_cuts_contain_inherited_cuts() {
         let net = sample();
         let mch = build_mch(&net, &MchParams::area_oriented());
-        let plain = prepare_cuts(&ChoiceNetwork::from_network(&net), 4, 8, CutCost::Structural, &CutCostModel::unit(), 1);
+        let plain = prepare_cuts(
+            &ChoiceNetwork::from_network(&net),
+            4,
+            8,
+            CutCost::Structural,
+            &CutCostModel::unit(),
+            1,
+        );
         let with_choices = prepare_cuts(&mch, 4, 8, CutCost::Structural, &CutCostModel::unit(), 1);
         // Total cuts on representative nodes should not shrink when choices
         // are transferred.
@@ -600,7 +616,11 @@ mod tests {
         for params in [MchParams::area_oriented(), MchParams::delay_oriented()] {
             let net = sample();
             let mch = build_mch(&net, &params);
-            let cuts = enumerate_cuts_with_model(mch.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+            let cuts = enumerate_cuts_with_model(
+                mch.network(),
+                &CutParams::new(4, 8),
+                &CutCostModel::unit(),
+            );
             let mut checked = 0usize;
             for repr in mch.representatives() {
                 for &(choice_node, phase) in mch.choices_of(repr) {
@@ -648,7 +668,11 @@ mod tests {
         };
         assert!(choice.add_choice(g1.node(), d1));
         assert!(choice.add_choice(h.node(), e));
-        let cuts = enumerate_cuts_with_model(choice.network(), &CutParams::new(4, 8), &CutCostModel::unit());
+        let cuts = enumerate_cuts_with_model(
+            choice.network(),
+            &CutParams::new(4, 8),
+            &CutCostModel::unit(),
+        );
         let mut duplicate_seen = false;
         for repr in choice.representatives() {
             for &(choice_node, phase) in choice.choices_of(repr) {
@@ -659,8 +683,10 @@ mod tests {
                         duplicate_seen |= f.size() < cut.size();
                     }
                     assert_eq!(
-                        fast.as_ref().map(|c| (c.leaves().to_vec(), c.function().clone())),
-                        slow.as_ref().map(|c| (c.leaves().to_vec(), c.function().clone())),
+                        fast.as_ref()
+                            .map(|c| (c.leaves().to_vec(), c.function().clone())),
+                        slow.as_ref()
+                            .map(|c| (c.leaves().to_vec(), c.function().clone())),
                         "mismatch for {cut}"
                     );
                 }

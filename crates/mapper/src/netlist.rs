@@ -251,7 +251,11 @@ impl CellNetlist {
         }
         self.outputs
             .iter()
-            .map(|o| (0..words).map(|w| resolve_word(o, patterns, &values, w)).collect())
+            .map(|o| {
+                (0..words)
+                    .map(|w| resolve_word(o, patterns, &values, w))
+                    .collect()
+            })
             .collect()
     }
 }
@@ -340,7 +344,11 @@ impl LutNetlist {
     ///
     /// Panics if a fanin references a LUT that does not exist yet.
     pub fn push_lut(&mut self, function: TruthTable, fanins: Vec<NetRef>) -> NetRef {
-        assert_eq!(function.num_vars(), fanins.len(), "one fanin per LUT variable");
+        assert_eq!(
+            function.num_vars(),
+            fanins.len(),
+            "one fanin per LUT variable"
+        );
         for f in &fanins {
             if let NetRef::Gate(i) = f {
                 assert!(*i < self.luts.len(), "fanin must precede the LUT");
@@ -436,7 +444,11 @@ impl LutNetlist {
         }
         self.outputs
             .iter()
-            .map(|o| (0..words).map(|w| resolve_word(o, patterns, &values, w)).collect())
+            .map(|o| {
+                (0..words)
+                    .map(|w| resolve_word(o, patterns, &values, w))
+                    .collect()
+            })
             .collect()
     }
 }
@@ -529,7 +541,11 @@ mod tests {
         let l1 = nl.push_lut(a.and(&b).not(), vec![l0, NetRef::Input(2)]);
         nl.push_output(l1);
         nl.push_output(NetRef::Const(true));
-        let patterns = vec![vec![0xDEAD_BEEF_0123_4567], vec![0x0F0F_F0F0_AAAA_5555], vec![0x00FF_FF00_CCCC_3333]];
+        let patterns = vec![
+            vec![0xDEAD_BEEF_0123_4567],
+            vec![0x0F0F_F0F0_AAAA_5555],
+            vec![0x00FF_FF00_CCCC_3333],
+        ];
         let direct = nl.simulate(&patterns);
         let via_network = mch_logic::simulate(&nl.to_network(), &patterns);
         assert_eq!(direct, via_network);

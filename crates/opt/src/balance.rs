@@ -8,12 +8,7 @@ use mch_logic::{GateKind, Network, NodeId, Signal};
 /// A fanin is expanded when it is a gate of the same kind, is not complemented
 /// (complemented edges break AND-tree associativity in an AIG), and has a
 /// single fanout (so duplicating it would not lose sharing).
-fn collect_tree_leaves(
-    network: &Network,
-    root: NodeId,
-    kind: GateKind,
-    leaves: &mut Vec<Signal>,
-) {
+fn collect_tree_leaves(network: &Network, root: NodeId, kind: GateKind, leaves: &mut Vec<Signal>) {
     for &f in network.node(root).fanins() {
         let n = f.node();
         let expandable = !f.is_complement()

@@ -48,7 +48,11 @@ pub(crate) fn cone_function(
         let mut fs = Vec::with_capacity(3);
         for s in node.fanins() {
             let base = values.get(&s.node())?;
-            fs.push(if s.is_complement() { base.not() } else { base.clone() });
+            fs.push(if s.is_complement() {
+                base.not()
+            } else {
+                base.clone()
+            });
         }
         let t = match node.kind() {
             GateKind::And2 => fs[0].and(&fs[1]),
@@ -153,11 +157,7 @@ pub fn graph_map_with_choices(
 /// assert_eq!(xmg.kind(), NetworkKind::Xmg);
 /// assert!(cec(&aig, &xmg).holds());
 /// ```
-pub fn graph_map(
-    network: &Network,
-    target: NetworkKind,
-    objective: MappingObjective,
-) -> Network {
+pub fn graph_map(network: &Network, target: NetworkKind, objective: MappingObjective) -> Network {
     graph_map_with_choices(&ChoiceNetwork::from_network(network), target, objective)
 }
 
@@ -207,7 +207,10 @@ mod tests {
     #[test]
     fn choice_based_graph_map_preserves_function() {
         let net = sample();
-        let mch = build_mch(&net, &MchParams::mixed(&[NetworkKind::Mig, NetworkKind::Xmg]));
+        let mch = build_mch(
+            &net,
+            &MchParams::mixed(&[NetworkKind::Mig, NetworkKind::Xmg]),
+        );
         let mapped = graph_map_with_choices(&mch, NetworkKind::Xmg, MappingObjective::Area);
         assert!(cec(&net, &mapped).holds());
     }

@@ -148,9 +148,7 @@ fn rewrite_with(network: &Network, strategy: SynthesisStrategy, cut_size: usize)
                 continue;
             }
             let cost = costs.gate_count(cut.function());
-            if cost < gain_bound
-                && best.as_ref().is_none_or(|(c, _, _)| cost < *c)
-            {
+            if cost < gain_bound && best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
                 best = Some((cost, cut.leaves().to_vec(), cut.function().clone()));
             }
         }
@@ -172,8 +170,7 @@ fn rewrite_with(network: &Network, strategy: SynthesisStrategy, cut_size: usize)
 
         map[id.index()] = match best {
             Some((_, leaves, function)) => {
-                let leaf_sigs: Vec<Signal> =
-                    leaves.iter().map(|l| map[l.index()]).collect();
+                let leaf_sigs: Vec<Signal> = leaves.iter().map(|l| map[l.index()]).collect();
                 db.emit(&mut out, &function, &leaf_sigs, network.kind(), strategy)
             }
             None => copy_gate(&mut out, node.kind(), &direct_fanins),

@@ -153,7 +153,10 @@ impl<'a> Parser<'a> {
                 format!("unexpected character '{}'", c as char),
                 self.pos,
             )),
-            None => Err(ParseExprError::new("unexpected end of expression", self.pos)),
+            None => Err(ParseExprError::new(
+                "unexpected end of expression",
+                self.pos,
+            )),
         }
     }
 }

@@ -41,8 +41,14 @@ impl Cell {
     ///
     /// Panics if `area` or `delay` is negative or not finite.
     pub fn new(name: impl Into<String>, function: TruthTable, area: f64, delay: f64) -> Self {
-        assert!(area.is_finite() && area >= 0.0, "cell area must be non-negative");
-        assert!(delay.is_finite() && delay >= 0.0, "cell delay must be non-negative");
+        assert!(
+            area.is_finite() && area >= 0.0,
+            "cell area must be non-negative"
+        );
+        assert!(
+            delay.is_finite() && delay >= 0.0,
+            "cell delay must be non-negative"
+        );
         Cell {
             name: name.into(),
             function,

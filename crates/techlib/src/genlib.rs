@@ -87,10 +87,12 @@ pub fn parse_genlib(name: &str, text: &str) -> Result<Library, ParseGenlibError>
                 reason: format!("expected 'GATE', found '{keyword}'"),
             });
         }
-        let cell_name = parts.next().ok_or_else(|| ParseGenlibError::MalformedLine {
-            line: line_no,
-            reason: "missing cell name".into(),
-        })?;
+        let cell_name = parts
+            .next()
+            .ok_or_else(|| ParseGenlibError::MalformedLine {
+                line: line_no,
+                reason: "missing cell name".into(),
+            })?;
         let area: f64 = parse_number(parts.next(), "area", line_no)?;
         let delay: f64 = parse_number(parts.next(), "delay", line_no)?;
         let inputs: usize = parse_number::<usize>(parts.next(), "input count", line_no)?;
@@ -101,8 +103,11 @@ pub fn parse_genlib(name: &str, text: &str) -> Result<Library, ParseGenlibError>
                 reason: "missing expression".into(),
             });
         }
-        let function = parse_expression(&expr, inputs)
-            .map_err(|source| ParseGenlibError::BadExpression { line: line_no, source })?;
+        let function =
+            parse_expression(&expr, inputs).map_err(|source| ParseGenlibError::BadExpression {
+                line: line_no,
+                source,
+            })?;
         lib.add_cell(Cell::new(cell_name, function, area, delay));
     }
     Ok(lib)
@@ -159,7 +164,10 @@ mod tests {
     #[test]
     fn reports_bad_expressions() {
         let err = parse_genlib("t", "GATE BAD 0.05 10 2 a &").unwrap_err();
-        assert!(matches!(err, ParseGenlibError::BadExpression { line: 1, .. }));
+        assert!(matches!(
+            err,
+            ParseGenlibError::BadExpression { line: 1, .. }
+        ));
         assert!(err.to_string().contains("line 1"));
     }
 }

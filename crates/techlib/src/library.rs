@@ -130,7 +130,8 @@ impl Library {
     ///
     /// Panics if the library contains no inverter.
     pub fn inverter(&self) -> CellId {
-        self.inverter.expect("library must contain an inverter cell")
+        self.inverter
+            .expect("library must contain an inverter cell")
     }
 
     /// Area of the inverter cell.
@@ -364,10 +365,10 @@ mod tests {
         let c = TruthTable::var(3, 2);
         let f = a.or(&b.not()).and(&c).not();
         for m in lib.matches(&f) {
-            let redone = lib
-                .cell(m.cell())
-                .function()
-                .transform(m.perm(), m.input_neg(), m.output_neg());
+            let redone =
+                lib.cell(m.cell())
+                    .function()
+                    .transform(m.perm(), m.input_neg(), m.output_neg());
             assert_eq!(redone, f);
         }
         assert!(!lib.matches(&f).is_empty());

@@ -25,7 +25,10 @@ fn main() {
         input.gate_count(),
         input.depth()
     );
-    println!("{:<22} {:>12} {:>12} {:>8}", "flow", "area um^2", "delay ps", "time s");
+    println!(
+        "{:<22} {:>12} {:>12} {:>8}",
+        "flow", "area um^2", "delay ps", "time s"
+    );
 
     let rows = [
         asic_flow_baseline(&input, &library, MappingObjective::Balanced),

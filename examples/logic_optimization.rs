@@ -11,7 +11,9 @@ use mch::mapper::MappingObjective;
 use mch::opt::{iterate_graph_map, iterate_graph_map_mch};
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "adder".to_string());
+    let name = std::env::args()
+        .nth(1)
+        .unwrap_or_else(|| "adder".to_string());
     let Some(circuit) = benchmark(&name) else {
         eprintln!("unknown benchmark '{name}'");
         std::process::exit(1);

@@ -114,7 +114,12 @@ fn main() {
     let last = service.run_batch(round_batch(rounds + 1, threads));
     for (report, job) in last.iter().zip(round_batch(rounds + 1, threads)) {
         let batched = report.outcome.as_ref().map(bytes_of).unwrap_or_default();
-        let alone = solo.run(job).outcome.as_ref().map(bytes_of).unwrap_or_default();
+        let alone = solo
+            .run(job)
+            .outcome
+            .as_ref()
+            .map(bytes_of)
+            .unwrap_or_default();
         assert_eq!(batched, alone, "{} diverged from its solo run", report.name);
     }
     println!("byte-identity check: batched outputs match solo runs");

@@ -16,8 +16,8 @@
 //! pressure.
 #![cfg(feature = "fault-injection")]
 
-use mch::core::{FlowBudget, FlowError, MchConfig};
 use mch::benchmarks::demo_adder_gt;
+use mch::core::{FlowBudget, FlowError, MchConfig};
 use mch::io::write_lut_blif;
 use mch::logic::failpoint;
 use mch::techlib::LutLibrary;
@@ -93,8 +93,7 @@ fn aborting_failpoints_yield_structured_errors_and_leave_the_pool_reusable() {
                 match &err {
                     FlowError::WorkerPanic { message } => {
                         assert!(
-                            message.starts_with(failpoint::PANIC_PREFIX)
-                                && message.contains(site),
+                            message.starts_with(failpoint::PANIC_PREFIX) && message.contains(site),
                             "wrong payload for {site}: {message}"
                         );
                     }

@@ -52,8 +52,7 @@ fn build_mch_is_identical_across_thread_counts() {
             let (serial_cn, serial_stats) =
                 build_mch_with_stats(&net, &base.clone().with_threads(1));
             for threads in THREAD_COUNTS {
-                let (cn, stats) =
-                    build_mch_with_stats(&net, &base.clone().with_threads(threads));
+                let (cn, stats) = build_mch_with_stats(&net, &base.clone().with_threads(threads));
                 // Mixed network (node for node), choice classes and phases —
                 // the ChoiceNetwork PartialEq covers all of it.
                 assert_eq!(
@@ -130,7 +129,11 @@ fn commit_heavy_flows_are_identical_across_thread_counts() {
     let lut_serial = lut_flow_mch(&net, &lut, &commit_heavy(MchConfig::lut_area(), 1));
     assert!(asic_serial.verified && lut_serial.verified);
     for threads in THREAD_COUNTS {
-        let asic = asic_flow_mch(&net, &lib, &commit_heavy(MchConfig::area_oriented(), threads));
+        let asic = asic_flow_mch(
+            &net,
+            &lib,
+            &commit_heavy(MchConfig::area_oriented(), threads),
+        );
         assert_eq!(
             asic_serial.netlist, asic.netlist,
             "{threads}-thread commit-heavy ASIC flow diverged"
@@ -142,7 +145,10 @@ fn commit_heavy_flows_are_identical_across_thread_counts() {
             lut_serial.netlist, fpga.netlist,
             "{threads}-thread commit-heavy LUT flow diverged"
         );
-        assert_eq!((lut_serial.luts, lut_serial.levels), (fpga.luts, fpga.levels));
+        assert_eq!(
+            (lut_serial.luts, lut_serial.levels),
+            (fpga.luts, fpga.levels)
+        );
     }
 }
 
@@ -156,20 +162,30 @@ fn full_flows_are_identical_across_thread_counts() {
         let lut_serial = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1));
         assert!(asic_serial.verified && lut_serial.verified);
         for threads in THREAD_COUNTS {
-            let asic =
-                asic_flow_mch(&net, &lib, &MchConfig::area_oriented().with_threads(threads));
+            let asic = asic_flow_mch(
+                &net,
+                &lib,
+                &MchConfig::area_oriented().with_threads(threads),
+            );
             assert_eq!(
                 asic_serial.netlist, asic.netlist,
                 "case {i}: {threads}-thread ASIC flow diverged"
             );
             assert_eq!(asic_serial.area.to_bits(), asic.area.to_bits(), "case {i}");
-            assert_eq!(asic_serial.delay.to_bits(), asic.delay.to_bits(), "case {i}");
+            assert_eq!(
+                asic_serial.delay.to_bits(),
+                asic.delay.to_bits(),
+                "case {i}"
+            );
             let fpga = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(threads));
             assert_eq!(
                 lut_serial.netlist, fpga.netlist,
                 "case {i}: {threads}-thread LUT flow diverged"
             );
-            assert_eq!((lut_serial.luts, lut_serial.levels), (fpga.luts, fpga.levels));
+            assert_eq!(
+                (lut_serial.luts, lut_serial.levels),
+                (fpga.luts, fpga.levels)
+            );
         }
     }
 }
@@ -187,9 +203,16 @@ fn fused_flows_are_identical_across_thread_counts() {
     for i in 0..3 {
         let net = arbitrary_network(i);
         let plain_serial = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1));
-        for mode in [FusionMode::Off, FusionMode::Bias, FusionMode::Inject, FusionMode::Full] {
+        for mode in [
+            FusionMode::Off,
+            FusionMode::Bias,
+            FusionMode::Inject,
+            FusionMode::Full,
+        ] {
             let config = |threads: usize| {
-                MchConfig::lut_fusion().with_fusion(mode).with_threads(threads)
+                MchConfig::lut_fusion()
+                    .with_fusion(mode)
+                    .with_threads(threads)
             };
             let serial = lut_flow_mch_fused(&net, &lut, &lib, &config(1));
             assert!(serial.verified, "case {i} ({mode:?}): not equivalent");

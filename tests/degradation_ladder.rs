@@ -6,10 +6,10 @@
 //! `DegradationReport`, and an output that still passes combinational
 //! equivalence checking against the input.
 
-use mch::core::{DegradationStep, FlowBudget, MchConfig, StrategyClass};
 use mch::benchmarks::demo_adder_gt;
-use mch::techlib::{asap7_lite, LutLibrary};
+use mch::core::{DegradationStep, FlowBudget, MchConfig, StrategyClass};
 use mch::io::{write_lut_blif, write_verilog};
+use mch::techlib::{asap7_lite, LutLibrary};
 use std::time::Duration;
 
 /// A budget every demo-sized flow breaches on all size axes.
@@ -89,13 +89,22 @@ fn degraded_parallel_commit_is_identical_at_every_thread_count() {
                 .contains(&DegradationStep::ResynthesisDisabled),
             "resynthesis must survive so candidates are actually committed"
         );
-        assert!(result.verified, "degraded output must verify at {threads} threads");
+        assert!(
+            result.verified,
+            "degraded output must verify at {threads} threads"
+        );
         reports.push(result.degradation.steps.clone());
         serializations.push(write_lut_blif(&result.netlist));
     }
     for (i, (report, blif)) in reports.iter().zip(&serializations).enumerate().skip(1) {
-        assert_eq!(report, &reports[0], "degradation report diverged (index {i})");
-        assert_eq!(blif, &serializations[0], "degraded netlist diverged (index {i})");
+        assert_eq!(
+            report, &reports[0],
+            "degradation report diverged (index {i})"
+        );
+        assert_eq!(
+            blif, &serializations[0],
+            "degraded netlist diverged (index {i})"
+        );
     }
 }
 
@@ -143,8 +152,9 @@ fn zero_deadline_falls_back_to_structural_mapping() {
     let net = demo_adder_gt();
     let lut = LutLibrary::k6();
     let budget = FlowBudget::unlimited().with_deadline(Duration::ZERO);
-    let result = mch::core::try_lut_flow_mch_with_budget(&net, &lut, &MchConfig::lut_area(), &budget)
-        .expect("deadline breach degrades, it does not fail");
+    let result =
+        mch::core::try_lut_flow_mch_with_budget(&net, &lut, &MchConfig::lut_area(), &budget)
+            .expect("deadline breach degrades, it does not fail");
     assert!(result.degradation.deadline_breached);
     assert!(result
         .degradation

@@ -5,8 +5,8 @@
 //! with the same rendered message — never with an internal assertion ten
 //! frames deep.
 
-use mch::core::{FlowError, Job, MappingService, MchConfig};
 use mch::benchmarks::demo_adder_gt;
+use mch::core::{FlowError, Job, MappingService, MchConfig};
 use mch::logic::{Network, NetworkKind, TruthTable};
 use mch::mapper::MappingObjective;
 use mch::techlib::{asap7_lite, Cell, Library, LutLibrary};
@@ -50,13 +50,9 @@ fn outputless_networks_are_rejected_by_every_flow() {
     expect_invalid(
         mch::core::try_asic_flow_baseline(&n, &lib, MappingObjective::Balanced).unwrap_err(),
     );
-    expect_invalid(
-        mch::core::try_asic_flow_dch(&n, &lib, MappingObjective::Balanced).unwrap_err(),
-    );
+    expect_invalid(mch::core::try_asic_flow_dch(&n, &lib, MappingObjective::Balanced).unwrap_err());
     expect_invalid(mch::core::try_asic_flow_mch(&n, &lib, &cfg).unwrap_err());
-    expect_invalid(
-        mch::core::try_lut_flow_baseline(&n, &lut, MappingObjective::Area).unwrap_err(),
-    );
+    expect_invalid(mch::core::try_lut_flow_baseline(&n, &lut, MappingObjective::Area).unwrap_err());
     expect_invalid(mch::core::try_lut_flow_mch(&n, &lut, &MchConfig::lut_area()).unwrap_err());
     expect_invalid(mch::core::try_build_mch(&n, &cfg.mch).unwrap_err());
 }
@@ -86,7 +82,8 @@ fn defective_libraries_are_rejected_with_context() {
     let y = TruthTable::var(3, 1);
     let z = TruthTable::var(3, 2);
     inverted.add_cell(Cell::new("AND3", x.and(&y).and(&z), 1.0, 10.0));
-    let err = mch::core::try_asic_flow_dch(&net, &inverted, MappingObjective::Balanced).unwrap_err();
+    let err =
+        mch::core::try_asic_flow_dch(&net, &inverted, MappingObjective::Balanced).unwrap_err();
     assert!(err.to_string().contains("monotone"), "got: {err}");
 }
 
@@ -98,10 +95,7 @@ fn panicking_wrappers_render_the_structured_error() {
         mch::core::asic_flow_mch(&n, &lib, &MchConfig::balanced());
     })
     .expect_err("the convenience wrapper must panic on invalid input");
-    let message = caught
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
+    let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(
         message.contains("invalid network"),
         "wrapper panic lost the structured message: {message}"

@@ -13,7 +13,10 @@ fn graph_mapping_between_all_representations_preserves_function() {
     for target in NetworkKind::homogeneous() {
         let mapped = graph_map(&net, target, MappingObjective::Area);
         assert_eq!(mapped.kind(), target);
-        assert!(cec(&net, &mapped).holds(), "{target} graph map broke equivalence");
+        assert!(
+            cec(&net, &mapped).holds(),
+            "{target} graph map broke equivalence"
+        );
     }
 }
 

@@ -6,13 +6,9 @@
 
 use mch::benchmarks::random_logic;
 use mch::choice::{build_mch, ChoiceNetwork, MchParams};
-use mch::cut::{
-    enumerate_cuts, enumerate_cuts_threaded, CutCost, CutCostModel, CutParams,
-};
+use mch::cut::{enumerate_cuts, enumerate_cuts_threaded, CutCost, CutCostModel, CutParams};
 use mch::logic::{convert, Network, NetworkKind, Prng};
-use mch::mapper::{
-    map_asic, map_lut, prepare_cuts, AsicMapParams, LutMapParams, MappingObjective,
-};
+use mch::mapper::{map_asic, map_lut, prepare_cuts, AsicMapParams, LutMapParams, MappingObjective};
 use mch::techlib::{asap7_lite, LutLibrary};
 
 const CASES: usize = 18;

@@ -84,7 +84,11 @@ fn choice_aware_asic_mapping_preserves_function() {
     for_each_case(|i, net| {
         let library = asap7_lite();
         let mch = build_mch(&net, &MchParams::balanced());
-        let mapped = map_asic(&mch, &library, &AsicMapParams::new(MappingObjective::Balanced));
+        let mapped = map_asic(
+            &mch,
+            &library,
+            &AsicMapParams::new(MappingObjective::Balanced),
+        );
         assert!(cec(&net, &mapped.to_network(&library)).holds(), "case {i}");
     });
 }
@@ -110,10 +114,12 @@ fn hybrid_ranking_never_maps_deeper_than_structural() {
             let net = convert(&arbitrary_network(i), kind);
             let lut = LutLibrary::k6();
             let base = LutMapParams::new(MappingObjective::Balanced);
-            let structural =
-                map_lut_network(&net, &lut, &base.with_ranking(CutCost::Structural));
+            let structural = map_lut_network(&net, &lut, &base.with_ranking(CutCost::Structural));
             let hybrid = map_lut_network(&net, &lut, &base.with_ranking(CutCost::Hybrid));
-            assert!(cec(&net, &hybrid.to_network()).holds(), "case {i} ({kind:?})");
+            assert!(
+                cec(&net, &hybrid.to_network()).holds(),
+                "case {i} ({kind:?})"
+            );
             assert!(
                 hybrid.level_count() <= structural.level_count(),
                 "case {i} ({kind:?}): hybrid depth {} > structural depth {}",
@@ -229,7 +235,11 @@ fn structural_fingerprints_match_reconstructions_and_separate_mutants() {
             base,
             "case {i}: rebuilding the same network changed the fingerprint"
         );
-        assert_eq!(net.clone().structural_fingerprint(), base, "case {i}: clone");
+        assert_eq!(
+            net.clone().structural_fingerprint(),
+            base,
+            "case {i}: clone"
+        );
 
         // Output polarity flip.
         let oi = rng.gen_range(0..net.output_count());
@@ -285,7 +295,11 @@ fn permuted_but_identical_constructions_fingerprint_equal() {
         let mut plan: Vec<(usize, usize, bool)> = Vec::with_capacity(n_gates);
         for g in 0..n_gates {
             let pool = n_inputs + g;
-            plan.push((rng.gen_range(0..pool), rng.gen_range(0..pool), rng.next_u64() & 1 == 1));
+            plan.push((
+                rng.gen_range(0..pool),
+                rng.gen_range(0..pool),
+                rng.next_u64() & 1 == 1,
+            ));
         }
         let build = |swap: bool| {
             let mut n = Network::with_name(NetworkKind::Aig, "fp-perm");

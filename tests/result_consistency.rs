@@ -95,7 +95,9 @@ fn asic_flow_results_match_their_netlists() {
             asic_flow_mch(
                 &input,
                 &lib,
-                &MchConfig::area_oriented().with_area_rounds(5).with_exact_area(true),
+                &MchConfig::area_oriented()
+                    .with_area_rounds(5)
+                    .with_exact_area(true),
             ),
         ];
         for f in &flows {
@@ -137,7 +139,9 @@ fn lut_flow_results_match_their_netlists() {
             lut_flow_mch(
                 &input,
                 &lut,
-                &MchConfig::lut_area().with_area_rounds(6).with_exact_area(true),
+                &MchConfig::lut_area()
+                    .with_area_rounds(6)
+                    .with_exact_area(true),
             ),
         ];
         for f in &flows {

@@ -56,8 +56,8 @@ fn deadline_breach_degrades_one_job_and_leaves_the_sibling_untouched() {
     for threads in [1, 4] {
         // Solo baselines: the budgeted job alone, the unbudgeted job alone.
         let solo_budgeted = {
-            let report =
-                MappingService::new().run(lut_job("budgeted", true, threads).with_budget(zero_deadline()));
+            let report = MappingService::new()
+                .run(lut_job("budgeted", true, threads).with_budget(zero_deadline()));
             let r = unwrap_lut(&report).clone();
             (write_lut_blif(&r.netlist), r.degradation)
         };
@@ -81,7 +81,10 @@ fn deadline_breach_degrades_one_job_and_leaves_the_sibling_untouched() {
             .steps
             .contains(&DegradationStep::DeadlineFallback));
         assert_eq!(
-            (write_lut_blif(&budgeted.netlist), budgeted.degradation.clone()),
+            (
+                write_lut_blif(&budgeted.netlist),
+                budgeted.degradation.clone()
+            ),
             solo_budgeted,
             "budgeted job diverged from its solo run at {threads} threads"
         );
@@ -105,9 +108,8 @@ fn size_budget_walks_the_pinned_ladder_in_any_batch_composition() {
     // The budgeted job's pinned expectation: bytes + full degradation trace,
     // from a solo run.
     let solo = {
-        let report = MappingService::new().run(
-            lut_job("capped", true, threads).with_budget(tight_size_budget(big_len)),
-        );
+        let report = MappingService::new()
+            .run(lut_job("capped", true, threads).with_budget(tight_size_budget(big_len)));
         let r = unwrap_lut(&report).clone();
         assert!(r.degradation.degraded(), "the size budget must bite");
         assert!(!r.degradation.deadline_breached, "size rungs only");

@@ -123,14 +123,25 @@ fn batched_jobs_match_solo_runs_across_threads_and_permutations() {
         for order in orders {
             let all = job_suite(threads);
             let mut slots: Vec<Option<Job>> = all.into_iter().map(Some).collect();
-            let jobs: Vec<Job> = order.iter().map(|&i| slots[i].take().expect("once")).collect();
+            let jobs: Vec<Job> = order
+                .iter()
+                .map(|&i| slots[i].take().expect("once"))
+                .collect();
             let expected: Vec<String> = order.iter().map(|&i| solo[i].clone()).collect();
             let service = MappingService::new();
             let first = service.run_batch(jobs.clone());
-            assert_batch_matches(&first, &expected, &format!("cold batch {order:?} @{threads}t"));
+            assert_batch_matches(
+                &first,
+                &expected,
+                &format!("cold batch {order:?} @{threads}t"),
+            );
             // Same batch again on the now-warm shared store: still identical.
             let warm = service.run_batch(jobs);
-            assert_batch_matches(&warm, &expected, &format!("warm batch {order:?} @{threads}t"));
+            assert_batch_matches(
+                &warm,
+                &expected,
+                &format!("warm batch {order:?} @{threads}t"),
+            );
         }
     }
 }

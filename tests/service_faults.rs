@@ -113,7 +113,10 @@ fn assert_worker_panic(report: &JobReport, site: &str) {
             "job {}: wrong payload for {site}: {message}",
             report.name
         ),
-        Err(other) => panic!("job {}: expected WorkerPanic for {site}, got {other}", report.name),
+        Err(other) => panic!(
+            "job {}: expected WorkerPanic for {site}, got {other}",
+            report.name
+        ),
         Ok(_) => panic!("job {}: failpoint {site} did not fire", report.name),
     }
 }
@@ -260,8 +263,12 @@ fn cache_failpoint_faults_degrade_to_cold_byte_identical_runs() {
             let lut = LutLibrary::k6();
             let variants: Vec<MchConfig> = vec![
                 MchConfig::lut_area().with_threads(threads),
-                MchConfig::lut_area().with_threads(threads).with_area_rounds(4),
-                MchConfig::lut_area().with_threads(threads).with_exact_area(true),
+                MchConfig::lut_area()
+                    .with_threads(threads)
+                    .with_area_rounds(4),
+                MchConfig::lut_area()
+                    .with_threads(threads)
+                    .with_exact_area(true),
             ];
             // Cold per-variant references from a warm-start-disabled service.
             let reference: Vec<String> = variants

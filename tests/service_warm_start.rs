@@ -62,7 +62,11 @@ fn out_fingerprint(out: &JobOutput) -> String {
     match out {
         JobOutput::Asic(r) => {
             assert!(r.verified, "ASIC result did not verify");
-            format!("{}\n{:?}", write_verilog(&r.netlist, &asap7_lite()), r.degradation)
+            format!(
+                "{}\n{:?}",
+                write_verilog(&r.netlist, &asap7_lite()),
+                r.degradation
+            )
         }
         JobOutput::Lut(r) => {
             assert!(r.verified, "LUT result did not verify");
@@ -169,7 +173,10 @@ fn lut_sweeps_match_cold_solo_runs_at_every_thread_count_and_cache_state() {
             "evicting-cache sweep diverged at {threads} threads"
         );
         let estats = evicting.stats();
-        assert!(estats.prepared_evictions >= 1, "1-byte cache must evict: {estats:?}");
+        assert!(
+            estats.prepared_evictions >= 1,
+            "1-byte cache must evict: {estats:?}"
+        );
         assert_eq!(estats.prepared_entries, 0);
 
         let disabled = cold_service().run(Job::sweep(
@@ -196,7 +203,12 @@ fn asic_and_fused_sweeps_match_cold_solo_runs() {
         let variants = asic_variants(threads);
         let expected = cold_sweep_reference(&network, &asic_kind, &variants);
         let service = MappingService::new();
-        let report = service.run(Job::sweep("asic-sweep", network.clone(), asic_kind, variants));
+        let report = service.run(Job::sweep(
+            "asic-sweep",
+            network.clone(),
+            asic_kind,
+            variants,
+        ));
         assert_eq!(
             report_fingerprint(&report),
             expected,
@@ -208,8 +220,12 @@ fn asic_and_fused_sweeps_match_cold_solo_runs() {
         let fused_kind = JobKind::LutFusedMch(lut, lib.clone());
         let fused_variants: Vec<MchConfig> = vec![
             MchConfig::lut_fusion().with_threads(threads),
-            MchConfig::lut_fusion().with_threads(threads).with_area_rounds(0),
-            MchConfig::lut_fusion().with_threads(threads).with_exact_area(true),
+            MchConfig::lut_fusion()
+                .with_threads(threads)
+                .with_area_rounds(0),
+            MchConfig::lut_fusion()
+                .with_threads(threads)
+                .with_exact_area(true),
         ];
         let fused_expected = cold_sweep_reference(&network, &fused_kind, &fused_variants);
         let fused_report = service.run(Job::sweep(
@@ -243,8 +259,18 @@ fn batch_permutations_with_coincidentally_identical_jobs_stay_byte_identical() {
                 JobKind::LutMch(lut),
                 sweep_variants.to_vec(),
             ),
-            Job::lut("twin-a", demo_adder_gt(), lut, MchConfig::lut_area().with_threads(threads)),
-            Job::lut("twin-b", demo_adder_gt(), lut, MchConfig::lut_area().with_threads(threads)),
+            Job::lut(
+                "twin-a",
+                demo_adder_gt(),
+                lut,
+                MchConfig::lut_area().with_threads(threads),
+            ),
+            Job::lut(
+                "twin-b",
+                demo_adder_gt(),
+                lut,
+                MchConfig::lut_area().with_threads(threads),
+            ),
             Job::asic(
                 "asic",
                 voter(9),
@@ -261,7 +287,10 @@ fn batch_permutations_with_coincidentally_identical_jobs_stay_byte_identical() {
     for order in orders {
         let service = MappingService::new();
         let mut slots: Vec<Option<Job>> = make_jobs().into_iter().map(Some).collect();
-        let jobs: Vec<Job> = order.iter().map(|&i| slots[i].take().expect("once")).collect();
+        let jobs: Vec<Job> = order
+            .iter()
+            .map(|&i| slots[i].take().expect("once"))
+            .collect();
         let reports = service.run_batch(jobs);
         for (report, &i) in reports.iter().zip(&order) {
             assert_eq!(
@@ -277,7 +306,11 @@ fn batch_permutations_with_coincidentally_identical_jobs_stay_byte_identical() {
     let serial = MappingService::new().with_max_in_flight(1);
     let reports = serial.run_batch(make_jobs());
     for (report, want) in reports.iter().zip(&expected) {
-        assert_eq!(&report_fingerprint(report), want, "serialised batch diverged");
+        assert_eq!(
+            &report_fingerprint(report),
+            want,
+            "serialised batch diverged"
+        );
     }
     let stats = serial.stats();
     assert!(
@@ -300,8 +333,8 @@ fn budgeted_sweeps_degrade_exactly_like_budgeted_solo_runs() {
         let expected: Vec<String> = variants
             .iter()
             .map(|cfg| {
-                let job = Job::lut("cold", network.clone(), lut, cfg.clone())
-                    .with_budget(budget.clone());
+                let job =
+                    Job::lut("cold", network.clone(), lut, cfg.clone()).with_budget(budget.clone());
                 report_fingerprint(&cold_service().run(job))
             })
             .collect();
@@ -351,8 +384,15 @@ fn warm_start_cache_telemetry_is_wired_through_service_stats() {
     ));
     let stats = service.stats();
     assert_eq!(stats.jobs_succeeded, 1);
-    assert_eq!(stats.prepared_misses, 1, "only the first variant builds cold: {stats:?}");
-    assert_eq!(stats.prepared_hits, n - 1, "every later variant must hit: {stats:?}");
+    assert_eq!(
+        stats.prepared_misses, 1,
+        "only the first variant builds cold: {stats:?}"
+    );
+    assert_eq!(
+        stats.prepared_hits,
+        n - 1,
+        "every later variant must hit: {stats:?}"
+    );
     assert_eq!(stats.prepared_entries, 1);
     assert!(stats.prepared_bytes > 0);
     assert_eq!(stats.prepared_evictions, 0);
