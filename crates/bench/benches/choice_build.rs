@@ -18,7 +18,7 @@
 use mch_bench::harness::{format_ns, Criterion};
 use mch_benchmarks::{barrel_shifter, multiplier, sine_approx, square, voter};
 use mch_choice::{build_mch, build_mch_with_stats, MchParams, MchStats};
-use mch_core::{asic_flow_mch, MchConfig};
+use mch_core::{try_asic_flow_mch, MchConfig};
 use mch_cut::{CutCost, CutCostModel};
 use mch_logic::Network;
 use mch_mapper::prepare_cuts;
@@ -85,7 +85,10 @@ fn check_determinism(net: &Network) -> (bool, MchStats, usize) {
 
 fn main() {
     let smoke = std::env::var_os("MCH_BENCH_SMOKE").is_some();
-    let sample_size = if smoke { 3 } else { 5 };
+    // Single points of the curve are a few milliseconds on small circuits;
+    // fewer than 15 samples leaves their medians at the mercy of one noisy
+    // run on a shared host.
+    let sample_size = if smoke { 3 } else { 15 };
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let circuits = gather_circuits();
 
@@ -125,7 +128,8 @@ fn main() {
     let mut flow_rows: Vec<(String, f64, f64)> = Vec::new();
     for ((name, net), row) in circuits.iter().zip(&rows) {
         let start = Instant::now();
-        let flow = asic_flow_mch(net, &lib, &MchConfig::area_oriented().with_threads(1));
+        let flow = try_asic_flow_mch(net, &lib, &MchConfig::area_oriented().with_threads(1))
+            .expect("MCH ASIC flow failed");
         let flow_ns = start.elapsed().as_nanos() as f64;
         assert!(flow.verified, "{name}: MCH flow failed verification");
         flow_rows.push((name.clone(), flow_ns, row.serial_ns));

@@ -18,7 +18,7 @@
 //! `MCH_BENCH_FULL=1` for the entire EPFL-like suite.
 
 use mch_benchmarks::{benchmark, epfl_suite, epfl_suite_small};
-use mch_core::{lut_flow_mch, try_lut_flow_mch_with_budget, FlowBudget, MchConfig};
+use mch_core::{try_lut_flow_mch, try_lut_flow_mch_with_budget, FlowBudget, MchConfig};
 use mch_cut::CutCost;
 use mch_logic::Network;
 use mch_mapper::{
@@ -118,7 +118,7 @@ fn main() {
         let (mut plain_ms, mut budgeted_ms) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..2 {
             let t = Instant::now();
-            let plain = lut_flow_mch(net, &lut, &flow_config);
+            let plain = try_lut_flow_mch(net, &lut, &flow_config).expect("MCH LUT flow failed");
             plain_ms = plain_ms.min(t.elapsed().as_secs_f64() * 1e3);
 
             let t = Instant::now();

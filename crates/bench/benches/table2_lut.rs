@@ -2,7 +2,7 @@
 
 use mch_bench::harness::Criterion;
 use mch_bench::{criterion_group, criterion_main};
-use mch_core::{lut_flow_baseline, lut_flow_mch, MchConfig};
+use mch_core::{try_lut_flow_baseline, try_lut_flow_mch, MchConfig};
 use mch_mapper::MappingObjective;
 use mch_opt::compress2rs_like;
 use mch_techlib::LutLibrary;
@@ -13,10 +13,15 @@ fn bench_table2(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2_lut_int2float");
     group.sample_size(10);
     group.bench_function("baseline_if", |b| {
-        b.iter(|| lut_flow_baseline(&net, &lut, MappingObjective::Area))
+        b.iter(|| {
+            try_lut_flow_baseline(&net, &lut, MappingObjective::Area)
+                .expect("baseline LUT flow failed")
+        })
     });
     group.bench_function("mch_lut_area", |b| {
-        b.iter(|| lut_flow_mch(&net, &lut, &MchConfig::lut_area()))
+        b.iter(|| {
+            try_lut_flow_mch(&net, &lut, &MchConfig::lut_area()).expect("MCH LUT flow failed")
+        })
     });
     group.finish();
 }

@@ -3,8 +3,8 @@
 use mch_benchmarks::{benchmark, demo_adder_gt, epfl_suite, Benchmark};
 use mch_choice::{build_mch, build_mch_with_stats, MchParams};
 use mch_core::{
-    asic_flow_baseline, asic_flow_dch, asic_flow_mch, geometric_mean, improvement_percent,
-    lut_flow_baseline, lut_flow_mch, prepare_input, MchConfig,
+    geometric_mean, improvement_percent, prepare_input, try_asic_flow_baseline, try_asic_flow_dch,
+    try_asic_flow_mch, try_lut_flow_baseline, try_lut_flow_mch, MchConfig,
 };
 use mch_logic::{convert, Network, NetworkKind};
 use mch_mapper::{map_asic, map_lut, AsicMapParams, LutMapParams, MappingObjective};
@@ -110,7 +110,8 @@ pub fn run_fig2() -> Fig2Report {
     let mut rows = Vec::new();
 
     // Traditional flow: optimize, then map without choices.
-    let base = asic_flow_baseline(&optimized, &library, MappingObjective::Balanced);
+    let base = try_asic_flow_baseline(&optimized, &library, MappingObjective::Balanced)
+        .expect("baseline ASIC flow failed");
     rows.push(Fig2Row {
         flow: "traditional (opt + map)".into(),
         nodes: optimized.gate_count(),
@@ -121,7 +122,8 @@ pub fn run_fig2() -> Fig2Report {
     });
 
     // DCH flow.
-    let dch = asic_flow_dch(&optimized, &library, MappingObjective::Balanced);
+    let dch = try_asic_flow_dch(&optimized, &library, MappingObjective::Balanced)
+        .expect("DCH ASIC flow failed");
     rows.push(Fig2Row {
         flow: "DCH for technology map".into(),
         nodes: optimized.gate_count(),
@@ -133,7 +135,8 @@ pub fn run_fig2() -> Fig2Report {
 
     // MCH flow (balanced), reporting the real choice count of the mixed network.
     let (mch_net, stats) = build_mch_with_stats(&optimized, &MchConfig::balanced().mch);
-    let mch = asic_flow_mch(&optimized, &library, &MchConfig::balanced());
+    let mch = try_asic_flow_mch(&optimized, &library, &MchConfig::balanced())
+        .expect("MCH ASIC flow failed");
     rows.push(Fig2Row {
         flow: "MCH for technology map".into(),
         nodes: mch_net.network().gate_count(),
@@ -185,13 +188,16 @@ pub fn run_table1(suite: &[Benchmark]) -> Vec<Table1Row> {
         let input = prepare_input(&b.network, 2);
         let mut flows = Vec::new();
         // Baseline &nf (balanced).
-        let r = asic_flow_baseline(&input, &library, MappingObjective::Balanced);
+        let r = try_asic_flow_baseline(&input, &library, MappingObjective::Balanced)
+            .expect("baseline ASIC flow failed");
         flows.push((r.area, r.delay, r.seconds));
         // DCH balanced.
-        let r = asic_flow_dch(&input, &library, MappingObjective::Balanced);
+        let r = try_asic_flow_dch(&input, &library, MappingObjective::Balanced)
+            .expect("DCH ASIC flow failed");
         flows.push((r.area, r.delay, r.seconds));
         // DCH area-oriented.
-        let r = asic_flow_dch(&input, &library, MappingObjective::Area);
+        let r = try_asic_flow_dch(&input, &library, MappingObjective::Area)
+            .expect("DCH ASIC flow failed");
         flows.push((r.area, r.delay, r.seconds));
         // MCH balanced / delay / area.
         for config in [
@@ -199,7 +205,7 @@ pub fn run_table1(suite: &[Benchmark]) -> Vec<Table1Row> {
             MchConfig::delay_oriented(),
             MchConfig::area_oriented(),
         ] {
-            let r = asic_flow_mch(&input, &library, &config);
+            let r = try_asic_flow_mch(&input, &library, &config).expect("MCH ASIC flow failed");
             flows.push((r.area, r.delay, r.seconds));
         }
         rows.push(Table1Row {
@@ -277,8 +283,10 @@ pub fn run_table2(names: &[&str]) -> Vec<Table2Row> {
         .filter_map(|name| {
             let net = benchmark(name)?;
             let optimized = compress2rs_like(&net, 2);
-            let incumbent = lut_flow_baseline(&optimized, &lut, MappingObjective::Area);
-            let challenger = lut_flow_mch(&optimized, &lut, &MchConfig::lut_area());
+            let incumbent = try_lut_flow_baseline(&optimized, &lut, MappingObjective::Area)
+                .expect("baseline LUT flow failed");
+            let challenger = try_lut_flow_mch(&optimized, &lut, &MchConfig::lut_area())
+                .expect("MCH LUT flow failed");
             Some(Table2Row {
                 benchmark: name.to_string(),
                 best_luts: incumbent.luts,
@@ -370,8 +378,12 @@ pub fn run_fig6(names: &[&str]) -> Vec<Fig6Row> {
 /// `(area with sharing, area without sharing)` for the area objective.
 pub fn ablation_choice_sharing(network: &Network) -> (f64, f64) {
     let library = asap7_lite();
-    let with = asic_flow_mch(network, &library, &MchConfig::area_oriented()).area;
-    let without = asic_flow_baseline(network, &library, MappingObjective::Area).area;
+    let with = try_asic_flow_mch(network, &library, &MchConfig::area_oriented())
+        .expect("MCH ASIC flow failed")
+        .area;
+    let without = try_asic_flow_baseline(network, &library, MappingObjective::Area)
+        .expect("baseline ASIC flow failed")
+        .area;
     (with, without)
 }
 
@@ -384,7 +396,8 @@ pub fn ablation_critical_ratio(network: &Network, ratios: &[f64]) -> Vec<(f64, f
         .map(|&r| {
             let mut config = MchConfig::balanced();
             config.mch.critical_ratio = r;
-            let result = asic_flow_mch(network, &library, &config);
+            let result =
+                try_asic_flow_mch(network, &library, &config).expect("MCH ASIC flow failed");
             (r, result.delay)
         })
         .collect()

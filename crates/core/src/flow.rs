@@ -34,14 +34,6 @@ pub(crate) fn contain<T>(f: impl FnOnce() -> T) -> Result<T, FlowError> {
     })
 }
 
-/// Unwraps a fallible flow for the panicking convenience API.
-fn unwrap_flow<T>(result: Result<T, FlowError>) -> T {
-    match result {
-        Ok(value) => value,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The service-owned shared state an MCH flow may read: the output-invisible
 /// NPN resynthesis cache and the warm-start [`PreparedFlowCache`]. Solo flows
 /// (the public `try_*_with_budget` entry points) run with
@@ -228,18 +220,8 @@ fn finish_lut(
 /// Baseline ASIC flow: map the input network directly (no structural choices),
 /// the stand-in for ABC's `&nf` (balanced/delay) and `map -a` (area) columns.
 ///
-/// Panics on invalid inputs; use [`try_asic_flow_baseline`] to get a
-/// structured [`FlowError`] instead.
-pub fn asic_flow_baseline(
-    network: &Network,
-    library: &Library,
-    objective: MappingObjective,
-) -> AsicFlowResult {
-    unwrap_flow(try_asic_flow_baseline(network, library, objective))
-}
-
-/// Fallible [`asic_flow_baseline`]: validates the inputs up front and
-/// contains any phase panic as [`FlowError::WorkerPanic`].
+/// Validates the inputs up front and contains any phase panic as
+/// [`FlowError::WorkerPanic`].
 pub fn try_asic_flow_baseline(
     network: &Network,
     library: &Library,
@@ -273,18 +255,8 @@ pub fn try_asic_flow_baseline(
 /// DCH ASIC flow: structural choices from technology-independent optimization
 /// snapshots (the `&dch -m; &nf` / `dch; map -a` columns of Table I).
 ///
-/// Panics on invalid inputs; use [`try_asic_flow_dch`] to get a structured
-/// [`FlowError`] instead.
-pub fn asic_flow_dch(
-    network: &Network,
-    library: &Library,
-    objective: MappingObjective,
-) -> AsicFlowResult {
-    unwrap_flow(try_asic_flow_dch(network, library, objective))
-}
-
-/// Fallible [`asic_flow_dch`]: validates the inputs up front and contains any
-/// phase panic as [`FlowError::WorkerPanic`].
+/// Validates the inputs up front and contains any phase panic as
+/// [`FlowError::WorkerPanic`].
 pub fn try_asic_flow_dch(
     network: &Network,
     library: &Library,
@@ -309,120 +281,10 @@ pub fn try_asic_flow_dch(
     })
 }
 
-/// The budgeted MCH ASIC flow body. Panics stay containable by the `try_*`
-/// wrapper; the degradation ladder itself is pure configuration surgery.
-fn asic_flow_mch_impl(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> AsicFlowResult {
-    let start = Instant::now();
-    let (config, mut report) =
-        plan_degradation(network.len(), network.gate_count(), config, budget);
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = AsicMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
-    }
-    // The choice network is deterministically sized, so this re-check is as
-    // reproducible as the pre-enumeration one.
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
-        budget.max_cut_arena_slots,
-        &mut report,
-    );
-    if let Some(deadline) = budget.deadline {
-        if start.elapsed() >= deadline {
-            report.deadline_breached = true;
-            report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
-        }
-    }
-    let netlist = prepared.map_asic(library, &params);
-    finish_asic(
-        config.name.clone(),
-        network,
-        netlist,
-        library,
-        start,
-        report,
-    )
-}
-
-/// MCH ASIC flow: mixed structural choices evaluated by the choice-aware
-/// mapper (the "MCH balanced / Delay-oriented / Area-oriented" columns).
-///
-/// The configured [`MchConfig::cut_ranking`] decides which cuts survive the
-/// per-node cut limit before the mapper's dynamic programming runs.
-///
-/// Panics on invalid inputs; use [`try_asic_flow_mch`] to get a structured
-/// [`FlowError`] instead.
-pub fn asic_flow_mch(network: &Network, library: &Library, config: &MchConfig) -> AsicFlowResult {
-    unwrap_flow(try_asic_flow_mch(network, library, config))
-}
-
-/// Fallible [`asic_flow_mch`]: validates the inputs up front and contains any
-/// phase panic as [`FlowError::WorkerPanic`].
-pub fn try_asic_flow_mch(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-) -> Result<AsicFlowResult, FlowError> {
-    try_asic_flow_mch_with_budget(network, library, config, &FlowBudget::unlimited())
-}
-
-/// [`try_asic_flow_mch`] under a [`FlowBudget`]: on breach the flow degrades
-/// down the deterministic ladder (recorded in the result's
-/// [`DegradationReport`]) instead of exhausting the machine — the output is
-/// still a complete, equivalence-checked netlist.
-pub fn try_asic_flow_mch_with_budget(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-) -> Result<AsicFlowResult, FlowError> {
-    try_asic_flow_mch_shared(network, library, config, budget, FlowShared::default())
-}
-
-/// [`try_asic_flow_mch_with_budget`] over the service-owned shared state
-/// ([`FlowShared`]: NPN cache + warm-start cache) — the per-job entry point
-/// of the [`MappingService`](crate::service). Sharing is output-invisible
-/// (see [`build_mch_with_stats_shared`] and [`PreparedFlowCache`]).
-pub(crate) fn try_asic_flow_mch_shared(
-    network: &Network,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<AsicFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_library(library)?;
-    contain(|| asic_flow_mch_impl(network, library, config, budget, shared))
-}
-
 /// Baseline FPGA flow: plain K-LUT mapping of the input network.
 ///
-/// Panics on invalid inputs; use [`try_lut_flow_baseline`] to get a
-/// structured [`FlowError`] instead.
-pub fn lut_flow_baseline(
-    network: &Network,
-    lut: &LutLibrary,
-    objective: MappingObjective,
-) -> LutFlowResult {
-    unwrap_flow(try_lut_flow_baseline(network, lut, objective))
-}
-
-/// Fallible [`lut_flow_baseline`]: validates the inputs up front and contains
-/// any phase panic as [`FlowError::WorkerPanic`].
+/// Validates the inputs up front and contains any phase panic as
+/// [`FlowError::WorkerPanic`].
 pub fn try_lut_flow_baseline(
     network: &Network,
     lut: &LutLibrary,
@@ -447,134 +309,276 @@ pub fn try_lut_flow_baseline(
     })
 }
 
-/// The budgeted MCH FPGA flow body (see [`asic_flow_mch_impl`]).
-fn lut_flow_mch_impl(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> LutFlowResult {
-    let start = Instant::now();
-    let (config, mut report) =
-        plan_degradation(network.len(), network.gate_count(), config, budget);
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = LutMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
-    }
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
-        budget.max_cut_arena_slots,
-        &mut report,
-    );
-    if let Some(deadline) = budget.deadline {
-        if start.elapsed() >= deadline {
-            report.deadline_breached = true;
-            report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
-        }
-    }
-    let netlist = prepared.map_lut(lut, &params);
-    finish_lut(config.name.clone(), network, netlist, start, report)
+/// What an MCH flow maps onto, borrowed from the caller. The ASIC and LUT
+/// flows differ only in what this trait supplies — the libraries to
+/// validate, the mapper's default cut limit, and the mapper parameters plus
+/// covering call over the prepared flow; everything else is the one body
+/// [`mch_flow`].
+pub(crate) trait MchTarget {
+    /// The flow result this target produces.
+    type Result;
+    /// Validates the target's libraries (the network is validated first).
+    fn validate(&self) -> Result<(), FlowError>;
+    /// Whether a fusion guide library is attached; without one the flow runs
+    /// with [`FusionMode::Off`] whatever the config says.
+    fn has_guide(&self) -> bool;
+    /// The mapper's per-node cut limit before the budget shrinks it.
+    fn cut_limit(&self, objective: MappingObjective) -> usize;
+    /// Covers `prepared` under the degraded `config` and `cut_limit`, then
+    /// verifies the netlist against `network`.
+    fn map(
+        &self,
+        network: &Network,
+        prepared: &PreparedFlow,
+        config: &MchConfig,
+        cut_limit: usize,
+        start: Instant,
+        report: DegradationReport,
+    ) -> Self::Result;
 }
 
-/// The budgeted fused MCH FPGA flow body: [`lut_flow_mch_impl`] with the
-/// cross-mapper fusion pipeline ([`mch_mapper::fusion`]) ahead of the LUT
-/// cover, plus two fusion-specific degradation rungs. Both are
-/// deterministic: the arena check depends only on the (deterministically
-/// sized) choice network, and the deadline check rides the existing
-/// [`DegradationStep::DeadlineFallback`] decision point.
-fn lut_flow_mch_fused_impl(
+/// The MCH ASIC target: a standard-cell library.
+pub(crate) struct AsicMch<'a>(pub(crate) &'a Library);
+
+/// The MCH K-LUT target: a LUT library plus, for the fused flow, the cell
+/// library of the ASIC guide pass.
+pub(crate) struct LutMch<'a> {
+    pub(crate) lut: &'a LutLibrary,
+    pub(crate) guide: Option<&'a Library>,
+}
+
+impl MchTarget for AsicMch<'_> {
+    type Result = AsicFlowResult;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        validate_library(self.0)
+    }
+
+    fn has_guide(&self) -> bool {
+        false
+    }
+
+    fn cut_limit(&self, objective: MappingObjective) -> usize {
+        AsicMapParams::new(objective).cut_limit
+    }
+
+    fn map(
+        &self,
+        network: &Network,
+        prepared: &PreparedFlow,
+        config: &MchConfig,
+        cut_limit: usize,
+        start: Instant,
+        report: DegradationReport,
+    ) -> AsicFlowResult {
+        let mut params = AsicMapParams::new(config.objective)
+            .with_ranking(config.cut_ranking)
+            .with_threads(config.threads)
+            .with_exact_area(config.exact_area);
+        if let Some(rounds) = config.area_rounds {
+            params = params.with_area_rounds(rounds);
+        }
+        params.cut_limit = cut_limit;
+        let netlist = prepared.map_asic(self.0, &params);
+        finish_asic(config.name.clone(), network, netlist, self.0, start, report)
+    }
+}
+
+impl MchTarget for LutMch<'_> {
+    type Result = LutFlowResult;
+
+    fn validate(&self) -> Result<(), FlowError> {
+        validate_lut_library(self.lut)?;
+        self.guide.map_or(Ok(()), validate_library)
+    }
+
+    fn has_guide(&self) -> bool {
+        self.guide.is_some()
+    }
+
+    fn cut_limit(&self, objective: MappingObjective) -> usize {
+        LutMapParams::new(objective).cut_limit
+    }
+
+    fn map(
+        &self,
+        network: &Network,
+        prepared: &PreparedFlow,
+        config: &MchConfig,
+        cut_limit: usize,
+        start: Instant,
+        report: DegradationReport,
+    ) -> LutFlowResult {
+        let mut params = LutMapParams::new(config.objective)
+            .with_ranking(config.cut_ranking)
+            .with_threads(config.threads)
+            .with_exact_area(config.exact_area)
+            .with_fusion(config.fusion);
+        if let Some(rounds) = config.area_rounds {
+            params = params.with_area_rounds(rounds);
+        }
+        params.cut_limit = cut_limit;
+        let netlist = prepared.map_lut(self.lut, self.guide, &params);
+        finish_lut(config.name.clone(), network, netlist, start, report)
+    }
+}
+
+/// Runs an MCH flow: validates the network and the target, then runs
+/// [`mch_flow`] with panic containment. The public `try_*` MCH entry points
+/// (with [`FlowShared::default()`]) and the [`MappingService`](crate::service)
+/// (with its NPN and warm-start caches) both come through here.
+///
+/// The mapping call may have grown the flow's cached [`PreparedFlow`] by a
+/// mapper state, so an attached warm-start cache is trimmed back to its
+/// capacity afterwards — also when the flow failed.
+pub(crate) fn try_mch_flow<T: MchTarget>(
     network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
+    target: T,
     config: &MchConfig,
     budget: &FlowBudget,
     shared: FlowShared<'_>,
-) -> LutFlowResult {
-    let start = Instant::now();
-    let (config, mut report) =
-        plan_degradation(network.len(), network.gate_count(), config, budget);
-    let prepared = obtain_prepared(network, &config, shared);
-    let mut params = LutMapParams::new(config.objective)
-        .with_ranking(config.cut_ranking)
-        .with_threads(config.threads)
-        .with_exact_area(config.exact_area)
-        .with_fusion(config.fusion);
-    if let Some(rounds) = config.area_rounds {
-        params = params.with_area_rounds(rounds);
+) -> Result<T::Result, FlowError> {
+    validate_network(network)?;
+    target.validate()?;
+    let result = contain(|| mch_flow(network, &target, config, budget, shared));
+    if let Some(cache) = shared.prepared {
+        cache.trim();
     }
-    params.cut_limit = shrink_cut_limit(
-        prepared.choices().network().len(),
-        params.cut_limit,
+    result
+}
+
+/// The one budgeted MCH flow body: mixed choices, then the technology-aware
+/// cover of `target`. The degradation ladder is pure configuration surgery,
+/// applied in a fixed order:
+///
+/// 1. [`plan_degradation`] shrinks choice construction to the budget;
+/// 2. [`shrink_cut_limit`] re-checks the mapper's cut limit against the
+///    (deterministically sized) choice network;
+/// 3. the ASIC guide pass enumerates a second cut arena of (at most) the
+///    same size as the LUT one — when the two cannot fit the slot cap,
+///    fusion is shed ([`DegradationStep::FusionDropped`]): the plain LUT
+///    cover is always a complete, valid result;
+/// 4. past the deadline, fusion is shed first (pure extra work), then the
+///    mapper falls back to structural ranking with no area recovery
+///    ([`DegradationStep::DeadlineFallback`]).
+///
+/// Without a guide library fusion is off from the start, so rungs 3 and the
+/// fusion half of 4 never fire for ASIC and plain LUT flows.
+fn mch_flow<T: MchTarget>(
+    network: &Network,
+    target: &T,
+    config: &MchConfig,
+    budget: &FlowBudget,
+    shared: FlowShared<'_>,
+) -> T::Result {
+    let start = Instant::now();
+    let (mut config, mut report) =
+        plan_degradation(network.len(), network.gate_count(), config, budget);
+    if !target.has_guide() {
+        config.fusion = FusionMode::Off;
+    }
+    let prepared = obtain_prepared(network, &config, shared);
+    let mixed_nodes = prepared.choices().network().len();
+    let cut_limit = shrink_cut_limit(
+        mixed_nodes,
+        target.cut_limit(config.objective),
         budget.max_cut_arena_slots,
         &mut report,
     );
-    // The ASIC guide pass enumerates a second cut arena of (at most) the same
-    // predicted size as the LUT one; when the two together cannot fit the
-    // slot cap, fusion is the thing to shed — the plain LUT cover is always
-    // a complete, valid result.
     if let Some(cap) = budget.max_cut_arena_slots {
-        let both_arenas = prepared
-            .choices()
-            .network()
-            .len()
-            .saturating_mul(params.cut_limit)
-            .saturating_mul(2);
-        if params.fusion.is_enabled() && both_arenas > cap {
-            params = params.with_fusion(FusionMode::Off);
+        let both_arenas = mixed_nodes.saturating_mul(cut_limit).saturating_mul(2);
+        if config.fusion.is_enabled() && both_arenas > cap {
+            config.fusion = FusionMode::Off;
             report.steps.push(DegradationStep::FusionDropped);
         }
     }
     if let Some(deadline) = budget.deadline {
         if start.elapsed() >= deadline {
             report.deadline_breached = true;
-            if params.fusion.is_enabled() {
-                // The guide pass is pure extra work; shed it before falling
-                // back to the cheapest valid mapping.
-                params = params.with_fusion(FusionMode::Off);
+            if config.fusion.is_enabled() {
+                config.fusion = FusionMode::Off;
                 report.steps.push(DegradationStep::FusionDropped);
             }
             report.steps.push(DegradationStep::DeadlineFallback);
-            params = params
-                .with_ranking(CutCost::Structural)
-                .with_area_rounds(0)
-                .with_exact_area(false);
+            config.cut_ranking = CutCost::Structural;
+            config.area_rounds = Some(0);
+            config.exact_area = false;
         }
     }
-    let netlist = prepared.map_lut_fused(lut, library, &params);
-    finish_lut(config.name.clone(), network, netlist, start, report)
+    target.map(network, &prepared, &config, cut_limit, start, report)
 }
 
-/// Fused MCH FPGA flow: [`lut_flow_mch`] with ASIC-guided cross-mapper fusion
-/// (see [`mch_mapper::fusion`]) — `library` drives the ASIC guide cover whose
-/// selected cones are injected into / bias the LUT cover per
-/// [`MchConfig::fusion`]. With [`FusionMode::Off`] (every preset except
-/// [`MchConfig::lut_fusion`]) the output is byte-identical to
-/// [`lut_flow_mch`].
+/// MCH ASIC flow: mixed structural choices evaluated by the choice-aware
+/// mapper (the "MCH balanced / Delay-oriented / Area-oriented" columns).
 ///
-/// Panics on invalid inputs; use [`try_lut_flow_mch_fused`] to get a
-/// structured [`FlowError`] instead.
-pub fn lut_flow_mch_fused(
+/// The configured [`MchConfig::cut_ranking`] decides which cuts survive the
+/// per-node cut limit before the mapper's dynamic programming runs.
+/// Validates the inputs up front and contains any phase panic as
+/// [`FlowError::WorkerPanic`].
+pub fn try_asic_flow_mch(
     network: &Network,
-    lut: &LutLibrary,
     library: &Library,
     config: &MchConfig,
-) -> LutFlowResult {
-    unwrap_flow(try_lut_flow_mch_fused(network, lut, library, config))
+) -> Result<AsicFlowResult, FlowError> {
+    try_asic_flow_mch_with_budget(network, library, config, &FlowBudget::unlimited())
 }
 
-/// Fallible [`lut_flow_mch_fused`]: validates all three inputs up front
-/// (network, LUT library, cell library) and contains any phase panic as
-/// [`FlowError::WorkerPanic`].
+/// [`try_asic_flow_mch`] under a [`FlowBudget`]: on breach the flow degrades
+/// down the deterministic ladder (recorded in the result's
+/// [`DegradationReport`]) instead of exhausting the machine — the output is
+/// still a complete, equivalence-checked netlist.
+pub fn try_asic_flow_mch_with_budget(
+    network: &Network,
+    library: &Library,
+    config: &MchConfig,
+    budget: &FlowBudget,
+) -> Result<AsicFlowResult, FlowError> {
+    try_mch_flow(
+        network,
+        AsicMch(library),
+        config,
+        budget,
+        FlowShared::default(),
+    )
+}
+
+/// MCH FPGA flow: K-LUT mapping over a mixed choice network (the Table-II
+/// configuration: AIG + XMG, area-focused, no other optimization).
+///
+/// The configured [`MchConfig::cut_ranking`] decides which cuts survive the
+/// per-node cut limit before the mapper's dynamic programming runs;
+/// [`MchConfig::fusion`] is ignored (there is no guide library — see
+/// [`try_lut_flow_mch_fused`]). Validates the inputs up front and contains
+/// any phase panic as [`FlowError::WorkerPanic`].
+pub fn try_lut_flow_mch(
+    network: &Network,
+    lut: &LutLibrary,
+    config: &MchConfig,
+) -> Result<LutFlowResult, FlowError> {
+    try_lut_flow_mch_with_budget(network, lut, config, &FlowBudget::unlimited())
+}
+
+/// [`try_lut_flow_mch`] under a [`FlowBudget`] (see
+/// [`try_asic_flow_mch_with_budget`]).
+pub fn try_lut_flow_mch_with_budget(
+    network: &Network,
+    lut: &LutLibrary,
+    config: &MchConfig,
+    budget: &FlowBudget,
+) -> Result<LutFlowResult, FlowError> {
+    let target = LutMch { lut, guide: None };
+    try_mch_flow(network, target, config, budget, FlowShared::default())
+}
+
+/// Fused MCH FPGA flow: [`try_lut_flow_mch`] with ASIC-guided cross-mapper
+/// fusion (see [`mch_mapper::fusion`]) — `library` drives the ASIC guide
+/// cover whose selected cones are injected into / bias the LUT cover per
+/// [`MchConfig::fusion`]. With [`FusionMode::Off`] (every preset except
+/// [`MchConfig::lut_fusion`]) the output is byte-identical to
+/// [`try_lut_flow_mch`].
+///
+/// Validates all three inputs up front (network, LUT library, cell library)
+/// and contains any phase panic as [`FlowError::WorkerPanic`].
 pub fn try_lut_flow_mch_fused(
     network: &Network,
     lut: &LutLibrary,
@@ -595,70 +599,11 @@ pub fn try_lut_flow_mch_fused_with_budget(
     config: &MchConfig,
     budget: &FlowBudget,
 ) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_fused_shared(network, lut, library, config, budget, FlowShared::default())
-}
-
-/// [`try_lut_flow_mch_fused_with_budget`] over the service-owned shared
-/// state — the per-job entry point of the [`MappingService`](crate::service).
-pub(crate) fn try_lut_flow_mch_fused_shared(
-    network: &Network,
-    lut: &LutLibrary,
-    library: &Library,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<LutFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_lut_library(lut)?;
-    validate_library(library)?;
-    contain(|| lut_flow_mch_fused_impl(network, lut, library, config, budget, shared))
-}
-
-/// MCH FPGA flow: K-LUT mapping over a mixed choice network (the Table-II
-/// configuration: AIG + XMG, area-focused, no other optimization).
-///
-/// The configured [`MchConfig::cut_ranking`] decides which cuts survive the
-/// per-node cut limit before the mapper's dynamic programming runs.
-///
-/// Panics on invalid inputs; use [`try_lut_flow_mch`] to get a structured
-/// [`FlowError`] instead.
-pub fn lut_flow_mch(network: &Network, lut: &LutLibrary, config: &MchConfig) -> LutFlowResult {
-    unwrap_flow(try_lut_flow_mch(network, lut, config))
-}
-
-/// Fallible [`lut_flow_mch`]: validates the inputs up front and contains any
-/// phase panic as [`FlowError::WorkerPanic`].
-pub fn try_lut_flow_mch(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_with_budget(network, lut, config, &FlowBudget::unlimited())
-}
-
-/// [`try_lut_flow_mch`] under a [`FlowBudget`] (see
-/// [`try_asic_flow_mch_with_budget`]).
-pub fn try_lut_flow_mch_with_budget(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-    budget: &FlowBudget,
-) -> Result<LutFlowResult, FlowError> {
-    try_lut_flow_mch_shared(network, lut, config, budget, FlowShared::default())
-}
-
-/// [`try_lut_flow_mch_with_budget`] over the service-owned shared state —
-/// the per-job entry point of the [`MappingService`](crate::service).
-pub(crate) fn try_lut_flow_mch_shared(
-    network: &Network,
-    lut: &LutLibrary,
-    config: &MchConfig,
-    budget: &FlowBudget,
-    shared: FlowShared<'_>,
-) -> Result<LutFlowResult, FlowError> {
-    validate_network(network)?;
-    validate_lut_library(lut)?;
-    contain(|| lut_flow_mch_impl(network, lut, config, budget, shared))
+    let target = LutMch {
+        lut,
+        guide: Some(library),
+    };
+    try_mch_flow(network, target, config, budget, FlowShared::default())
 }
 
 /// Fallible [`build_mch`](mch_choice::build_mch): validates the network up
@@ -700,81 +645,85 @@ mod tests {
     }
 
     #[test]
-    fn all_asic_flows_verify() {
+    fn all_asic_flows_verify() -> Result<(), FlowError> {
         let net = small_circuit();
         let lib = asap7_lite();
         let flows = [
-            asic_flow_baseline(&net, &lib, MappingObjective::Balanced),
-            asic_flow_baseline(&net, &lib, MappingObjective::Area),
-            asic_flow_dch(&net, &lib, MappingObjective::Balanced),
-            asic_flow_mch(&net, &lib, &MchConfig::balanced()),
-            asic_flow_mch(&net, &lib, &MchConfig::delay_oriented()),
-            asic_flow_mch(&net, &lib, &MchConfig::area_oriented()),
+            try_asic_flow_baseline(&net, &lib, MappingObjective::Balanced)?,
+            try_asic_flow_baseline(&net, &lib, MappingObjective::Area)?,
+            try_asic_flow_dch(&net, &lib, MappingObjective::Balanced)?,
+            try_asic_flow_mch(&net, &lib, &MchConfig::balanced())?,
+            try_asic_flow_mch(&net, &lib, &MchConfig::delay_oriented())?,
+            try_asic_flow_mch(&net, &lib, &MchConfig::area_oriented())?,
         ];
         for f in &flows {
             assert!(f.verified, "{} did not verify", f.flow);
             assert!(f.area > 0.0);
             assert!(f.delay > 0.0);
         }
+        Ok(())
     }
 
     #[test]
-    fn lut_flows_verify_and_report_counts() {
+    fn lut_flows_verify_and_report_counts() -> Result<(), FlowError> {
         let net = demo_adder_gt();
         let lut = LutLibrary::k6();
-        let base = lut_flow_baseline(&net, &lut, MappingObjective::Area);
-        let mch = lut_flow_mch(&net, &lut, &MchConfig::lut_area());
+        let base = try_lut_flow_baseline(&net, &lut, MappingObjective::Area)?;
+        let mch = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area())?;
         assert!(base.verified && mch.verified);
         assert!(base.luts >= 1 && mch.luts >= 1);
         assert!(
             mch.luts <= base.luts,
             "MCH should not need more LUTs on the demo"
         );
+        Ok(())
     }
 
     #[test]
-    fn area_rounds_and_exact_area_flow_through_the_config() {
+    fn area_rounds_and_exact_area_flow_through_the_config() -> Result<(), FlowError> {
         let net = small_circuit();
         let lib = asap7_lite();
         let lut = LutLibrary::k6();
         let cfg = MchConfig::area_oriented()
             .with_area_rounds(6)
             .with_exact_area(true);
-        let asic = asic_flow_mch(&net, &lib, &cfg);
+        let asic = try_asic_flow_mch(&net, &lib, &cfg)?;
         assert!(asic.verified, "exact-area ASIC flow failed verification");
         let lut_cfg = MchConfig::lut_area()
             .with_area_rounds(6)
             .with_exact_area(true);
-        let fpga = lut_flow_mch(&net, &lut, &lut_cfg);
+        let fpga = try_lut_flow_mch(&net, &lut, &lut_cfg)?;
         assert!(fpga.verified, "exact-area LUT flow failed verification");
         // More recovery rounds plus the exact pass must not grow the cover
         // beyond the default flow's.
-        let default_fpga = lut_flow_mch(&net, &lut, &MchConfig::lut_area());
+        let default_fpga = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area())?;
         assert!(fpga.luts <= default_fpga.luts);
+        Ok(())
     }
 
     #[test]
-    fn fused_lut_flow_verifies_and_off_mode_matches_plain() {
+    fn fused_lut_flow_verifies_and_off_mode_matches_plain() -> Result<(), FlowError> {
         let net = small_circuit();
         let lut = LutLibrary::k6();
         let lib = asap7_lite();
         // Fusion off: the fused entry point is byte-identical to the plain
         // flow (the guide pass never runs).
-        let plain = lut_flow_mch(&net, &lut, &MchConfig::lut_area());
-        let off = lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_area());
+        let plain = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area())?;
+        let off = try_lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_area())?;
         assert_eq!(plain.netlist, off.netlist);
         // Fusion on: still a verified cover, whatever the mode.
         for mode in [FusionMode::Bias, FusionMode::Inject, FusionMode::Full] {
-            let fused =
-                lut_flow_mch_fused(&net, &lut, &lib, &MchConfig::lut_fusion().with_fusion(mode));
+            let config = MchConfig::lut_fusion().with_fusion(mode);
+            let fused = try_lut_flow_mch_fused(&net, &lut, &lib, &config)?;
             assert!(fused.verified, "{mode:?} flow failed verification");
             assert!(fused.luts >= 1);
             assert!(!fused.degradation.degraded());
         }
+        Ok(())
     }
 
     #[test]
-    fn fusion_is_dropped_when_the_guide_arena_cannot_fit() {
+    fn fusion_is_dropped_when_the_guide_arena_cannot_fit() -> Result<(), FlowError> {
         let net = small_circuit();
         let lut = LutLibrary::k6();
         let lib = asap7_lite();
@@ -783,13 +732,13 @@ mod tests {
         // completes and verifies, and the output matches the unfused flow
         // under the same budget.
         let budget = FlowBudget::unlimited().with_max_cut_arena_slots(400);
-        let fused = unwrap_flow(try_lut_flow_mch_fused_with_budget(
+        let fused = try_lut_flow_mch_fused_with_budget(
             &net,
             &lut,
             &lib,
             &MchConfig::lut_fusion(),
             &budget,
-        ));
+        )?;
         assert!(fused.verified);
         assert!(
             fused
@@ -799,13 +748,9 @@ mod tests {
             "expected FusionDropped, got {:?}",
             fused.degradation.steps
         );
-        let plain = unwrap_flow(try_lut_flow_mch_with_budget(
-            &net,
-            &lut,
-            &MchConfig::lut_fusion(),
-            &budget,
-        ));
+        let plain = try_lut_flow_mch_with_budget(&net, &lut, &MchConfig::lut_fusion(), &budget)?;
         assert_eq!(plain.netlist, fused.netlist);
+        Ok(())
     }
 
     #[test]

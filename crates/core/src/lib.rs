@@ -9,18 +9,19 @@
 //! # Example
 //!
 //! ```
-//! use mch_core::{asic_flow_baseline, asic_flow_mch, MchConfig};
+//! use mch_core::{try_asic_flow_baseline, try_asic_flow_mch, FlowError, MchConfig};
 //! use mch_core::mapper::MappingObjective;
 //! use mch_core::techlib::asap7_lite;
 //! use mch_core::benchmarks::demo_adder_gt;
 //!
 //! let circuit = demo_adder_gt();
 //! let library = asap7_lite();
-//! let baseline = asic_flow_baseline(&circuit, &library, MappingObjective::Balanced);
-//! let mch = asic_flow_mch(&circuit, &library, &MchConfig::balanced());
+//! let baseline = try_asic_flow_baseline(&circuit, &library, MappingObjective::Balanced)?;
+//! let mch = try_asic_flow_mch(&circuit, &library, &MchConfig::balanced())?;
 //! assert!(baseline.verified && mch.verified);
 //! // MCH evaluates heterogeneous candidates, so it never loses on both axes.
 //! assert!(mch.area <= baseline.area + 1e-9 || mch.delay <= baseline.delay + 1e-9);
+//! # Ok::<(), FlowError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -38,11 +39,10 @@ pub use budget::{DegradationReport, DegradationStep, FlowBudget, StrategyClass};
 pub use config::MchConfig;
 pub use error::{validate_library, validate_lut_library, validate_network, FlowError};
 pub use flow::{
-    asic_flow_baseline, asic_flow_dch, asic_flow_mch, lut_flow_baseline, lut_flow_mch,
-    lut_flow_mch_fused, prepare_input, try_asic_flow_baseline, try_asic_flow_dch,
-    try_asic_flow_mch, try_asic_flow_mch_with_budget, try_build_mch, try_lut_flow_baseline,
-    try_lut_flow_mch, try_lut_flow_mch_fused, try_lut_flow_mch_fused_with_budget,
-    try_lut_flow_mch_with_budget, AsicFlowResult, LutFlowResult,
+    prepare_input, try_asic_flow_baseline, try_asic_flow_dch, try_asic_flow_mch,
+    try_asic_flow_mch_with_budget, try_build_mch, try_lut_flow_baseline, try_lut_flow_mch,
+    try_lut_flow_mch_fused, try_lut_flow_mch_fused_with_budget, try_lut_flow_mch_with_budget,
+    AsicFlowResult, LutFlowResult,
 };
 pub use prepared::{PreparedFlow, PreparedFlowCache};
 pub use report::{geometric_mean, improvement_percent, FlowMetrics};

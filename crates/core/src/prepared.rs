@@ -148,6 +148,9 @@ pub struct PreparedFlow {
     fingerprint: u64,
     choices: ChoiceNetwork,
     mappers: Mutex<PreparedMappers>,
+    /// Running [`approx_bytes`](PreparedFlow::approx_bytes) total: each
+    /// mapper state is added once, when it is built.
+    bytes: AtomicUsize,
 }
 
 impl std::fmt::Debug for PreparedMappers {
@@ -173,12 +176,15 @@ impl PreparedFlow {
         shared_npn: Option<&Arc<SharedNpnCache>>,
     ) -> Self {
         let choices = build_flow_choices(network, config, shared_npn);
+        let bytes =
+            network_bytes(network) + network_bytes(choices.network()) + choices.choice_count() * 16;
         PreparedFlow {
             network: network.clone(),
             key,
             fingerprint,
             choices,
             mappers: Mutex::new(PreparedMappers::default()),
+            bytes: AtomicUsize::new(bytes),
         }
     }
 
@@ -219,6 +225,10 @@ impl PreparedFlow {
             return Arc::clone(prep);
         }
         let prep = Arc::new(prepare_asic_cover(&self.choices, library, params));
+        self.bytes.fetch_add(
+            prep.approx_bytes(MatchCandidate::approx_bytes),
+            Ordering::Relaxed,
+        );
         mappers.asic.push((
             AsicKey {
                 ranking: params.cut_ranking,
@@ -242,6 +252,10 @@ impl PreparedFlow {
             return Arc::clone(prep);
         }
         let prep = Arc::new(prepare_lut_cover(&self.choices, lut, params));
+        self.bytes.fetch_add(
+            prep.approx_bytes(LutCandidate::approx_bytes),
+            Ordering::Relaxed,
+        );
         mappers.lut.push((
             LutKey {
                 ranking: params.cut_ranking,
@@ -267,6 +281,10 @@ impl PreparedFlow {
             return Arc::clone(prep);
         }
         let prep = Arc::new(prepare_fusion_guide(&self.choices, library, params));
+        self.bytes.fetch_add(
+            prep.approx_bytes(MatchCandidate::approx_bytes),
+            Ordering::Relaxed,
+        );
         mappers.guide.push((
             GuideKey {
                 objective: params.objective,
@@ -285,56 +303,33 @@ impl PreparedFlow {
         map_asic_prepared(&self.choices, library, &prep, params)
     }
 
-    /// The covering phase of the LUT flow over this artifact. Byte-identical
-    /// to `map_lut(self.choices(), lut, params)`.
-    pub(crate) fn map_lut(&self, lut: &LutLibrary, params: &LutMapParams) -> LutNetlist {
-        let prep = self.lut_state(lut, params);
-        map_lut_prepared(&self.choices, lut, &prep, params)
-    }
-
-    /// The covering phase of the fused LUT flow over this artifact.
-    /// Byte-identical to `map_lut_fused(self.choices(), lut, library,
-    /// params)`; with fusion off the guide state is never built.
-    pub(crate) fn map_lut_fused(
+    /// The covering phase of the LUT flow over this artifact: byte-identical
+    /// to `map_lut(self.choices(), lut, params)`, or with a `guide` library
+    /// to `map_lut_fused(self.choices(), lut, guide, params)`. The guide state
+    /// is built only when a guide is given and `params.fusion` is enabled.
+    pub(crate) fn map_lut(
         &self,
         lut: &LutLibrary,
-        library: &Library,
+        guide: Option<&Library>,
         params: &LutMapParams,
     ) -> LutNetlist {
-        if !params.fusion.is_enabled() {
-            return self.map_lut(lut, params);
-        }
         let lut_prep = self.lut_state(lut, params);
-        let guide_prep = self.guide_state(library, params);
-        map_lut_fused_prepared(&self.choices, lut, library, params, &lut_prep, &guide_prep)
+        match guide {
+            Some(library) if params.fusion.is_enabled() => {
+                let guide_prep = self.guide_state(library, params);
+                map_lut_fused_prepared(&self.choices, lut, library, params, &lut_prep, &guide_prep)
+            }
+            _ => map_lut_prepared(&self.choices, lut, &lut_prep, params),
+        }
     }
 
     /// Approximate heap footprint in bytes: the stored network, the choice
     /// network and every prepared mapper state (cut arenas plus candidate
-    /// skeletons — by far the dominant terms).
+    /// skeletons — by far the dominant terms). A running total: each mapper
+    /// state is counted once when it is built, since covers never change
+    /// afterwards.
     pub fn approx_bytes(&self) -> usize {
-        let mappers = self.lock_mappers();
-        let mapper_bytes: usize = mappers
-            .asic
-            .iter()
-            .map(|(_, p)| p.approx_bytes(MatchCandidate::approx_bytes))
-            .chain(
-                mappers
-                    .lut
-                    .iter()
-                    .map(|(_, p)| p.approx_bytes(LutCandidate::approx_bytes)),
-            )
-            .chain(
-                mappers
-                    .guide
-                    .iter()
-                    .map(|(_, p)| p.approx_bytes(MatchCandidate::approx_bytes)),
-            )
-            .sum();
-        network_bytes(&self.network)
-            + network_bytes(self.choices.network())
-            + self.choices.choice_count() * 16
-            + mapper_bytes
+        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -354,11 +349,15 @@ struct CacheInner {
 /// accounting (see the module docs).
 ///
 /// Every lookup that matches a fingerprint re-verifies full network + key
-/// equality before handing the artifact out; eviction recomputes live byte
-/// totals, so an artifact that grew mapper states since insertion is
-/// accounted at its current size. The hit/miss/eviction counters are
-/// cross-job telemetry: like the shared NPN store's, they depend on
-/// scheduling — outputs never do.
+/// equality before handing the artifact out. Artifacts grow after insertion
+/// (mapper states are built lazily by the flows using them), so the byte
+/// bound is enforced at two points: on every insert, and after every flow's
+/// mapping call that ran with this cache attached. Between those points a
+/// flow that is still mapping may hold the total above the capacity by the
+/// states it is building; once every flow is done, `bytes() <=
+/// capacity_bytes()`. Eviction always counts each artifact at its current
+/// size. The hit/miss/eviction counters are cross-job telemetry: like the
+/// shared NPN store's, they depend on scheduling — outputs never do.
 #[derive(Debug)]
 pub struct PreparedFlowCache {
     max_bytes: usize,
@@ -409,8 +408,8 @@ impl PreparedFlowCache {
         self.lock_inner().entries.len()
     }
 
-    /// Estimated bytes currently held (live recount — artifacts grow as
-    /// mapper states are added).
+    /// Estimated bytes currently held (each artifact at its current size —
+    /// artifacts grow as mapper states are added).
     pub fn bytes(&self) -> usize {
         self.lock_inner()
             .entries
@@ -495,23 +494,35 @@ impl PreparedFlowCache {
             flow,
             last_used: stamp,
         });
-        loop {
-            let total: usize = inner.entries.iter().map(|e| e.flow.approx_bytes()).sum();
-            if total <= self.max_bytes || inner.entries.is_empty() {
-                break;
-            }
-            if let Some(lru) = inner
+        drop(inner);
+        self.trim();
+    }
+
+    /// Evicts least-recently-used entries while the estimated total exceeds
+    /// the capacity. Runs on every insert and again after every flow's
+    /// mapping call, which may have grown its entry by a mapper state; the
+    /// per-entry figures are running totals, so a trim costs one pass over
+    /// the entries.
+    pub(crate) fn trim(&self) {
+        let mut inner = self.lock_inner();
+        while inner
+            .entries
+            .iter()
+            .map(|e| e.flow.approx_bytes())
+            .sum::<usize>()
+            > self.max_bytes
+        {
+            let Some(lru) = inner
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
-            {
-                inner.entries.remove(lru);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            } else {
+            else {
                 break;
-            }
+            };
+            inner.entries.remove(lru);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -634,10 +645,30 @@ mod tests {
         assert!(before > 0);
         let lut = mch_techlib::LutLibrary::k6();
         let params = LutMapParams::new(config.objective);
-        let _ = flow.map_lut(&lut, &params);
+        let _ = flow.map_lut(&lut, None, &params);
         assert!(
             flow.approx_bytes() > before,
             "building the LUT prepared state must grow the accounted footprint"
         );
+    }
+
+    #[test]
+    fn mapping_growth_is_trimmed_back_under_the_capacity() {
+        let net = demo_adder_gt();
+        let config = MchConfig::lut_area().with_threads(1);
+        let bare = build_prepared(&net, &config).approx_bytes();
+        // Admits the bare flow at insert time, but not once the job has
+        // grown it by its LUT mapper state.
+        let service = crate::MappingService::new().with_prepared_capacity(bare);
+        let lut = mch_techlib::LutLibrary::k6();
+        let report = service.run(crate::Job::lut("grow", net, lut, config));
+        assert!(report.outcome.expect("flow failed").verified());
+        let stats = service.stats();
+        assert!(
+            stats.prepared_bytes <= bare,
+            "cache holds {} bytes against a capacity of {bare}",
+            stats.prepared_bytes
+        );
+        assert_eq!((stats.prepared_misses, stats.prepared_evictions), (1, 1));
     }
 }

@@ -46,10 +46,7 @@
 //! on the calling worker; the nested jobs' phases then take their own serial
 //! fallbacks. Results are identical to a top-level submission.
 
-use crate::flow::{
-    contain, try_asic_flow_mch_shared, try_lut_flow_mch_fused_shared, try_lut_flow_mch_shared,
-    FlowShared,
-};
+use crate::flow::{contain, try_mch_flow, AsicMch, FlowShared, LutMch};
 use crate::prepared::PreparedFlowCache;
 use crate::{AsicFlowResult, DegradationReport, FlowBudget, FlowError, LutFlowResult, MchConfig};
 use mch_choice::SharedNpnCache;
@@ -515,15 +512,18 @@ impl MappingService {
         };
         match kind {
             JobKind::AsicMch(library) => {
-                try_asic_flow_mch_shared(network, library, config, budget, shared)
-                    .map(JobOutput::Asic)
+                try_mch_flow(network, AsicMch(library), config, budget, shared).map(JobOutput::Asic)
             }
             JobKind::LutMch(lut) => {
-                try_lut_flow_mch_shared(network, lut, config, budget, shared).map(JobOutput::Lut)
+                let target = LutMch { lut, guide: None };
+                try_mch_flow(network, target, config, budget, shared).map(JobOutput::Lut)
             }
             JobKind::LutFusedMch(lut, library) => {
-                try_lut_flow_mch_fused_shared(network, lut, library, config, budget, shared)
-                    .map(JobOutput::Lut)
+                let target = LutMch {
+                    lut,
+                    guide: Some(library),
+                };
+                try_mch_flow(network, target, config, budget, shared).map(JobOutput::Lut)
             }
             JobKind::Sweep(base, variants) => {
                 if matches!(**base, JobKind::Sweep(..)) {

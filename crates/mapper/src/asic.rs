@@ -7,9 +7,10 @@
 //! the library, the per-candidate delay/area model (cell + inverters), and
 //! emission of the selected cover as a [`CellNetlist`].
 
-use crate::engine::{cover, Cover, CoverTarget, EngineParams};
-use crate::mapping::{prepare_cuts, MappingObjective};
+use crate::engine::{Cover, CoverProblem, CoverTarget, EngineParams};
+use crate::mapping::MappingObjective;
 use crate::netlist::{CellNetlist, NetRef};
+use crate::prepared::prepare_asic_cover;
 use mch_choice::ChoiceNetwork;
 use mch_cut::{CutCost, CutCostModel, NetworkCuts, MAX_CUT_SIZE};
 use mch_logic::{GateKind, Network, NodeId, Signal, TruthTable};
@@ -23,8 +24,8 @@ use std::collections::HashMap;
 /// ranking know that covering more leaves with one cell is *not* free in an
 /// ASIC flow, unlike in LUT mapping.
 ///
-/// Public so callers of [`map_asic_with_cuts`] can run [`prepare_cuts`] with
-/// the same ranking model [`map_asic`] uses.
+/// Public so callers of [`crate::prepare_cuts`] can rank with the same model
+/// [`prepare_asic_cover`] uses.
 pub fn library_cost_model(library: &Library) -> CutCostModel {
     let mut min_delay = [f64::INFINITY; MAX_CUT_SIZE + 1];
     let mut min_area = [f64::INFINITY; MAX_CUT_SIZE + 1];
@@ -227,9 +228,10 @@ pub struct AsicTarget<'a> {
 }
 
 impl<'a> AsicTarget<'a> {
-    /// Creates the target over pre-enumerated cuts (from [`prepare_cuts`]
-    /// with cut size `library.max_inputs().clamp(3, 6)` and the
-    /// [`library_cost_model`] ranking model).
+    /// Creates the target over pre-enumerated cuts (from
+    /// [`crate::prepare_cuts`] with cut size
+    /// `library.max_inputs().clamp(3, 6)` and the [`library_cost_model`]
+    /// ranking model).
     pub fn new(library: &'a Library, cuts: &'a NetworkCuts) -> Self {
         AsicTarget {
             library,
@@ -439,6 +441,10 @@ impl CoverTarget for AsicTarget<'_> {
 /// beforehand, so heterogeneous candidate structures are evaluated with the
 /// same technology costs as the original structure.
 ///
+/// One-shot form of [`prepare_asic_cover`] followed by a solve: the freshly
+/// built skeleton moves into the problem instead of being cloned (compare
+/// [`crate::map_asic_prepared`], which keeps its artifact for the next solve).
+///
 /// # Panics
 ///
 /// Panics if some node function cannot be matched by the library (the bundled
@@ -446,39 +452,9 @@ impl CoverTarget for AsicTarget<'_> {
 /// primitive functions, so this only happens with deliberately crippled
 /// libraries).
 pub fn map_asic(choice: &ChoiceNetwork, library: &Library, params: &AsicMapParams) -> CellNetlist {
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    // Choice transfer leaves dead spans behind (`commit_extension` cannot
-    // always rewrite in place); reclaim them before covering so the arena —
-    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
-    // is dense. `compact` preserves every node's cut list byte-for-byte.
-    cuts.compact();
-    map_asic_with_cuts(choice, library, &cuts, params)
-}
-
-/// Covers a choice network onto standard cells over **pre-enumerated** cuts.
-///
-/// This is the covering phase of [`map_asic`] in isolation: `cuts` must come
-/// from [`prepare_cuts`] over the same choice network (cut size
-/// `library.max_inputs().clamp(3, 6)`). Use it to re-cover one cut set under
-/// several parameter settings — different `area_rounds`, `exact_area` or
-/// objectives — without paying enumeration and choice transfer again; the
-/// `mapping_rounds` bench measures exactly this call.
-pub fn map_asic_with_cuts(
-    choice: &ChoiceNetwork,
-    library: &Library,
-    cuts: &NetworkCuts,
-    params: &AsicMapParams,
-) -> CellNetlist {
-    let target = AsicTarget::new(library, cuts);
-    cover(choice, &target, &params.engine_params())
+    let prep = prepare_asic_cover(choice, library, params);
+    let target = AsicTarget::new(library, &prep.cuts);
+    CoverProblem::with_skeleton(choice, &target, prep.skeleton).solve(&params.engine_params())
 }
 
 /// Convenience: maps a plain network (no choices) onto standard cells.

@@ -5,11 +5,11 @@
 //! Mapper"): a delay-oriented forward pass establishes arrival times, a
 //! number of area-recovery rounds re-select candidates under required times
 //! propagated backward from the outputs, and the final cover is extracted
-//! from the primary outputs. [`cover`] implements that loop once, generically
-//! over a [`CoverTarget`] — the trait that supplies what actually differs
-//! between targets: how candidates are enumerated, what a candidate's arrival
-//! and area are, how required time propagates onto a candidate's leaves, and
-//! how the selected cover is emitted as a netlist.
+//! from the primary outputs. [`CoverProblem`] implements that loop once,
+//! generically over a [`CoverTarget`] — the trait that supplies what actually
+//! differs between targets: how candidates are enumerated, what a candidate's
+//! arrival and area are, how required time propagates onto a candidate's
+//! leaves, and how the selected cover is emitted as a netlist.
 //!
 //! # Incremental re-selection (`CandidateCache`)
 //!
@@ -625,20 +625,6 @@ impl<'a, T: CoverTarget> CoverProblem<'a, T> {
         };
         self.target.emit(self.choice.network(), &cover)
     }
-}
-
-/// Runs the full covering flow over a prepared choice network and emits the
-/// target netlist.
-///
-/// Convenience wrapper: [`CoverProblem::new`] followed by one
-/// [`CoverProblem::solve`]. Callers that want to solve the same problem under
-/// several parameter settings should hold on to the [`CoverProblem`] instead.
-pub fn cover<T: CoverTarget>(
-    choice: &ChoiceNetwork,
-    target: &T,
-    params: &EngineParams,
-) -> T::Netlist {
-    CoverProblem::new(choice, target).solve(params)
 }
 
 /// Backward required-time propagation over the current selections.

@@ -32,14 +32,13 @@
 //! selection, so fused output is byte-identical at every thread count — the
 //! same invariant every other phase holds (`tests/choice_determinism.rs`).
 
-use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
-use crate::engine::{CoverProblem, CoverSkeleton};
+use crate::asic::{AsicMapParams, AsicTarget, MatchCandidate};
+use crate::engine::CoverProblem;
 use crate::lut::{map_lut, LutCandidate, LutMapParams, LutTarget};
-use crate::mapping::{prepare_cuts, MappingObjective};
+use crate::mapping::MappingObjective;
 use crate::netlist::LutNetlist;
-use crate::prepared::{map_lut_prepared, PreparedCover};
+use crate::prepared::{map_lut_prepared, prepare_asic_cover, prepare_lut_cover, PreparedCover};
 use mch_choice::ChoiceNetwork;
-use mch_cut::CutCostModel;
 use mch_logic::{NodeId, TruthTable};
 use mch_techlib::{Library, LutLibrary};
 
@@ -83,7 +82,7 @@ const FUSION_BONUS_LUTS: f64 = 0.25;
 
 /// A cone harvested from the ASIC cover: the root it covers, its
 /// support-reduced leaves (sorted, distinct) and the function they feed.
-/// One cone may absorb several standard cells (see [`harvest_asic_cones`]).
+/// One cone may absorb several standard cells (see [`harvest_from_selection`]).
 struct AsicCone {
     root: NodeId,
     leaves: Vec<NodeId>,
@@ -109,19 +108,16 @@ pub fn map_lut_fused(
     if !params.fusion.is_enabled() {
         return map_lut(choice, lut, params);
     }
-    let cones = harvest_asic_cones(choice, library, params, lut.k());
-
-    let mut cuts = prepare_cuts(
-        choice,
-        lut.k(),
-        params.cut_limit,
-        params.cut_ranking,
-        &CutCostModel::unit(),
-        params.threads,
-    );
-    cuts.compact();
-    let target = LutTarget::new(lut, &cuts);
-    let problem = CoverProblem::new(choice, &target);
+    // One-shot: both freshly built skeletons move into their problems.
+    let cones = {
+        let guide = prepare_fusion_guide(choice, library, params);
+        let target = AsicTarget::new(library, &guide.cuts);
+        let problem = CoverProblem::with_skeleton(choice, &target, guide.skeleton);
+        harvest_from_selection(choice, &problem, params, lut.k())
+    };
+    let prep = prepare_lut_cover(choice, lut, params);
+    let target = LutTarget::new(lut, &prep.cuts);
+    let problem = CoverProblem::with_skeleton(choice, &target, prep.skeleton);
     solve_guarded(problem, lut, &cones, params)
 }
 
@@ -155,18 +151,21 @@ fn solve_guarded(
 }
 
 /// The ASIC parameters of the guide pass, derived from the LUT parameters:
-/// objective, threads and memoisation carry over, everything else takes the
-/// ASIC defaults. The guide's cut ranking — which shapes its cut set, and
-/// hence the prepared guide artifact — is the objective's natural ASIC
-/// ranking.
+/// objective, cut limit, threads and memoisation carry over, everything else
+/// takes the ASIC defaults. The guide's cut ranking — which shapes its cut
+/// set, and hence the prepared guide artifact — is the objective's natural
+/// ASIC ranking.
 fn guide_asic_params(params: &LutMapParams) -> AsicMapParams {
-    AsicMapParams::new(params.objective)
-        .with_threads(params.threads)
-        .with_memoise(params.memoise)
+    AsicMapParams {
+        cut_limit: params.cut_limit,
+        ..AsicMapParams::new(params.objective)
+            .with_threads(params.threads)
+            .with_memoise(params.memoise)
+    }
 }
 
-/// Runs the preparation phase of the fusion guide pass: ASIC cut enumeration
-/// and Boolean matching under the guide's derived ASIC parameters
+/// Runs the preparation phase of the fusion guide pass:
+/// [`prepare_asic_cover`] under the guide's derived ASIC parameters
 /// (objective-derived ranking, the LUT `cut_limit`).
 ///
 /// Of `params`, only `objective`, `cut_limit` and `threads` reach this phase,
@@ -177,22 +176,7 @@ pub fn prepare_fusion_guide(
     library: &Library,
     params: &LutMapParams,
 ) -> PreparedCover<MatchCandidate> {
-    let asic_params = guide_asic_params(params);
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        asic_params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    cuts.compact();
-    let skeleton = {
-        let target = AsicTarget::new(library, &cuts);
-        CoverSkeleton::build(choice, &target)
-    };
-    PreparedCover { cuts, skeleton }
+    prepare_asic_cover(choice, library, &guide_asic_params(params))
 }
 
 /// [`map_lut_fused`] over prepared covers — the warm-start path.
@@ -223,7 +207,9 @@ pub fn map_lut_fused_prepared(
     solve_guarded(problem, lut, &cones, params)
 }
 
-/// Runs the ASIC guide cover and returns the harvested cones in id order.
+/// Solves the guide problem's selection and returns the harvested cones in id
+/// order. Shared by the one-shot path (which moves a fresh guide skeleton
+/// into the problem) and the warm-start path (which clones a cached one).
 ///
 /// The guide pass reuses the LUT parameters where they apply (objective,
 /// cut limit, threads, memoisation) and the ASIC defaults elsewhere, and
@@ -236,32 +222,6 @@ pub fn map_lut_fused_prepared(
 /// still fits `k` leaves. The merged cone covers a whole subtree of the cell
 /// netlist with one LUT — the structural alignment fusion is after — and the
 /// cell boundaries inside it are exactly the ASIC mapper's choices.
-fn harvest_asic_cones(
-    choice: &ChoiceNetwork,
-    library: &Library,
-    params: &LutMapParams,
-    k: usize,
-) -> Vec<AsicCone> {
-    let asic_params = guide_asic_params(params);
-    let cut_size = library.max_inputs().clamp(3, 6);
-    let mut cuts = prepare_cuts(
-        choice,
-        cut_size,
-        params.cut_limit,
-        asic_params.cut_ranking,
-        &library_cost_model(library),
-        params.threads,
-    );
-    cuts.compact();
-    let target = AsicTarget::new(library, &cuts);
-    let problem = CoverProblem::new(choice, &target);
-    harvest_from_selection(choice, &problem, params, k)
-}
-
-/// Solves the guide problem's selection and clusters its winning cover into
-/// LUT-sized cones (see [`harvest_asic_cones`] for the clustering rules).
-/// Shared by the one-shot path (which builds the guide problem from scratch)
-/// and the warm-start path (which rebuilds it from a [`PreparedCover`]).
 fn harvest_from_selection(
     choice: &ChoiceNetwork,
     problem: &CoverProblem<'_, AsicTarget<'_>>,

@@ -47,8 +47,7 @@ mod netlist;
 mod prepared;
 
 pub use asic::{
-    library_cost_model, map_asic, map_asic_network, map_asic_with_cuts, AsicMapParams, AsicTarget,
-    MatchCandidate,
+    library_cost_model, map_asic, map_asic_network, AsicMapParams, AsicTarget, MatchCandidate,
 };
 pub use engine::{
     CoverProblem, CoverSelection, CoverSkeleton, CoverTarget, EngineParams, SLACK_EPS,
@@ -56,7 +55,7 @@ pub use engine::{
 pub use fusion::{
     map_lut_fused, map_lut_fused_network, map_lut_fused_prepared, prepare_fusion_guide, FusionMode,
 };
-pub use lut::{map_lut, map_lut_network, map_lut_with_cuts, LutCandidate, LutMapParams, LutTarget};
+pub use lut::{map_lut, map_lut_network, LutCandidate, LutMapParams, LutTarget};
 pub use mapping::{prepare_cuts, MappingObjective};
 pub use mch_cut::{CutCost, CutCostModel, CutCosts};
 pub use netlist::{CellNetlist, LutNetlist, MappedCell, MappedLut, NetRef};

@@ -6,12 +6,13 @@
 //! mask is the cut function), so candidates need no Boolean matching and the
 //! cost model is the LUT library's uniform delay/area.
 
-use crate::engine::{cover, Cover, CoverTarget, EngineParams};
+use crate::engine::{Cover, CoverProblem, CoverTarget, EngineParams};
 use crate::fusion::FusionMode;
-use crate::mapping::{prepare_cuts, MappingObjective};
+use crate::mapping::MappingObjective;
 use crate::netlist::{LutNetlist, NetRef};
+use crate::prepared::prepare_lut_cover;
 use mch_choice::ChoiceNetwork;
-use mch_cut::{CutCost, CutCostModel, NetworkCuts};
+use mch_cut::{CutCost, NetworkCuts};
 use mch_logic::{Network, NodeId, TruthTable};
 use mch_techlib::LutLibrary;
 use std::collections::HashMap;
@@ -163,8 +164,8 @@ pub struct LutTarget<'a> {
 }
 
 impl<'a> LutTarget<'a> {
-    /// Creates the target over pre-enumerated cuts (from [`prepare_cuts`]
-    /// with cut size `lut.k()`).
+    /// Creates the target over pre-enumerated cuts (from
+    /// [`crate::prepare_cuts`] with cut size `lut.k()`).
     pub fn new(lut: &'a LutLibrary, cuts: &'a NetworkCuts) -> Self {
         LutTarget { lut, cuts }
     }
@@ -336,40 +337,14 @@ impl CoverTarget for LutTarget<'_> {
 /// first, so candidate structures from other representations compete on equal
 /// terms — this is the configuration that produced the EPFL best-results
 /// entries in the paper (Table II).
-pub fn map_lut(choice: &ChoiceNetwork, lut: &LutLibrary, params: &LutMapParams) -> LutNetlist {
-    // The unit model is exact for LUTs: one level, one LUT per cut.
-    let mut cuts = prepare_cuts(
-        choice,
-        lut.k(),
-        params.cut_limit,
-        params.cut_ranking,
-        &CutCostModel::unit(),
-        params.threads,
-    );
-    // Choice transfer leaves dead spans behind (`commit_extension` cannot
-    // always rewrite in place); reclaim them before covering so the arena —
-    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
-    // is dense. `compact` preserves every node's cut list byte-for-byte.
-    cuts.compact();
-    map_lut_with_cuts(choice, lut, &cuts, params)
-}
-
-/// Covers a choice network onto K-LUTs over **pre-enumerated** cuts.
 ///
-/// This is the covering phase of [`map_lut`] in isolation: `cuts` must come
-/// from [`prepare_cuts`] over the same choice network with cut size
-/// `lut.k()`. Use it to re-cover one cut set under several parameter settings
-/// — different `area_rounds`, `exact_area` or objectives — without paying
-/// enumeration and choice transfer again; the `mapping_rounds` bench measures
-/// exactly this call.
-pub fn map_lut_with_cuts(
-    choice: &ChoiceNetwork,
-    lut: &LutLibrary,
-    cuts: &NetworkCuts,
-    params: &LutMapParams,
-) -> LutNetlist {
-    let target = LutTarget::new(lut, cuts);
-    cover(choice, &target, &params.engine_params())
+/// One-shot form of [`prepare_lut_cover`] followed by a solve: the freshly
+/// built skeleton moves into the problem instead of being cloned (compare
+/// [`crate::map_lut_prepared`], which keeps its artifact for the next solve).
+pub fn map_lut(choice: &ChoiceNetwork, lut: &LutLibrary, params: &LutMapParams) -> LutNetlist {
+    let prep = prepare_lut_cover(choice, lut, params);
+    let target = LutTarget::new(lut, &prep.cuts);
+    CoverProblem::with_skeleton(choice, &target, prep.skeleton).solve(&params.engine_params())
 }
 
 /// Convenience: maps a plain network (no choices) onto K-LUTs.

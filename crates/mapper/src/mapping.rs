@@ -409,11 +409,16 @@ mod tests {
                 );
             }
         }
+        // The prepared LUT cover compacts; covering the wasteful arena by
+        // hand must give the same netlist.
         let lut = mch_techlib::LutLibrary::k4();
-        let params = crate::lut::LutMapParams::default();
+        let params = crate::lut::LutMapParams::default().with_ranking(CutCost::Hybrid);
+        let prep = crate::prepare_lut_cover(&mch, &lut, &params);
+        assert_eq!(prep.cuts().wasted_slots(), 0);
+        let target = crate::lut::LutTarget::new(&lut, &wasteful);
         assert_eq!(
-            crate::lut::map_lut_with_cuts(&mch, &lut, &wasteful, &params),
-            crate::lut::map_lut_with_cuts(&mch, &lut, &compacted, &params),
+            crate::engine::CoverProblem::new(&mch, &target).solve(&params.engine_params()),
+            crate::map_lut_prepared(&mch, &lut, &prep, &params),
             "compaction changed the mapped netlist"
         );
     }

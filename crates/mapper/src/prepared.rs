@@ -15,11 +15,13 @@
 //! [`CoverSkeleton`] built over it — so a parameter sweep pays it once and
 //! runs phase 2 per variant via [`map_lut_prepared`] / [`map_asic_prepared`]
 //! (and [`crate::fusion::map_lut_fused_prepared`] for the fused pipeline).
-//! Every prepared solve is **byte-identical** to the corresponding one-shot
-//! mapper call: preparation is deterministic and thread-invariant, so the
-//! cached artifacts equal freshly built ones, and
-//! [`CoverProblem::with_skeleton`] clones the skeleton per solve so no
-//! per-problem mutation ever reaches the shared copy.
+//! The one-shot mappers ([`crate::map_lut`], [`crate::map_asic`],
+//! [`crate::fusion::map_lut_fused`]) are this same preparation followed by one
+//! solve that moves the fresh skeleton into its problem; the prepared entry
+//! points clone the skeleton per solve instead, so no per-problem mutation
+//! ever reaches the shared copy. Preparation is deterministic and
+//! thread-invariant, so every prepared solve is **byte-identical** to the
+//! corresponding one-shot call.
 //! `tests/service_warm_start.rs` in `mch_core` pins this end to end.
 
 use crate::asic::{library_cost_model, AsicMapParams, AsicTarget, MatchCandidate};
@@ -84,6 +86,10 @@ pub fn prepare_lut_cover(
         &CutCostModel::unit(),
         params.threads,
     );
+    // Choice transfer leaves dead spans behind (`commit_extension` cannot
+    // always rewrite in place); reclaim them before covering so the arena —
+    // and everything accounted against `FlowBudget::max_cut_arena_slots` —
+    // is dense. `compact` preserves every node's cut list byte-for-byte.
     cuts.compact();
     let skeleton = {
         let target = LutTarget::new(lut, &cuts);

@@ -7,11 +7,14 @@
 //! (any benchmark name from the suite works; `max` is the default).
 
 use mch::benchmarks::benchmark;
-use mch::core::{asic_flow_baseline, asic_flow_dch, asic_flow_mch, prepare_input, MchConfig};
+use mch::core::{
+    prepare_input, try_asic_flow_baseline, try_asic_flow_dch, try_asic_flow_mch, FlowError,
+    MchConfig,
+};
 use mch::mapper::MappingObjective;
 use mch::techlib::asap7_lite;
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "max".to_string());
     let Some(circuit) = benchmark(&name) else {
         eprintln!("unknown benchmark '{name}'");
@@ -31,11 +34,11 @@ fn main() {
     );
 
     let rows = [
-        asic_flow_baseline(&input, &library, MappingObjective::Balanced),
-        asic_flow_dch(&input, &library, MappingObjective::Balanced),
-        asic_flow_mch(&input, &library, &MchConfig::balanced()),
-        asic_flow_mch(&input, &library, &MchConfig::delay_oriented()),
-        asic_flow_mch(&input, &library, &MchConfig::area_oriented()),
+        try_asic_flow_baseline(&input, &library, MappingObjective::Balanced)?,
+        try_asic_flow_dch(&input, &library, MappingObjective::Balanced)?,
+        try_asic_flow_mch(&input, &library, &MchConfig::balanced())?,
+        try_asic_flow_mch(&input, &library, &MchConfig::delay_oriented())?,
+        try_asic_flow_mch(&input, &library, &MchConfig::area_oriented())?,
     ];
     for r in &rows {
         assert!(r.verified, "{} failed equivalence checking", r.flow);
@@ -44,4 +47,5 @@ fn main() {
             r.flow, r.area, r.delay, r.seconds
         );
     }
+    Ok(())
 }

@@ -5,12 +5,12 @@
 //! Run with `cargo run --example fpga_lut_mapping --release -- sin`.
 
 use mch::benchmarks::benchmark;
-use mch::core::{lut_flow_baseline, lut_flow_mch, MchConfig};
+use mch::core::{try_lut_flow_baseline, try_lut_flow_mch, FlowError, MchConfig};
 use mch::mapper::MappingObjective;
 use mch::opt::compress2rs_like;
 use mch::techlib::LutLibrary;
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "sin".to_string());
     let Some(circuit) = benchmark(&name) else {
         eprintln!("unknown benchmark '{name}'");
@@ -20,8 +20,8 @@ fn main() {
     let input = compress2rs_like(&circuit, 2);
     let lut6 = LutLibrary::k6();
 
-    let incumbent = lut_flow_baseline(&input, &lut6, MappingObjective::Area);
-    let challenger = lut_flow_mch(&input, &lut6, &MchConfig::lut_area());
+    let incumbent = try_lut_flow_baseline(&input, &lut6, MappingObjective::Area)?;
+    let challenger = try_lut_flow_mch(&input, &lut6, &MchConfig::lut_area())?;
 
     println!("benchmark '{}': {} AIG nodes", name, input.gate_count());
     println!(
@@ -35,4 +35,5 @@ fn main() {
     if challenger.luts < incumbent.luts {
         println!("MCH sets a new best result for this circuit.");
     }
+    Ok(())
 }

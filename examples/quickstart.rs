@@ -3,12 +3,12 @@
 //!
 //! Run with `cargo run --example quickstart --release`.
 
-use mch::core::{asic_flow_baseline, asic_flow_mch, MchConfig};
+use mch::core::{try_asic_flow_baseline, try_asic_flow_mch, FlowError, MchConfig};
 use mch::logic::{Network, NetworkKind, NetworkStats};
 use mch::mapper::MappingObjective;
 use mch::techlib::asap7_lite;
 
-fn main() {
+fn main() -> Result<(), FlowError> {
     // 1. Build a 4-bit adder-comparator as an AIG.
     let mut circuit = Network::with_name(NetworkKind::Aig, "quickstart");
     let a = circuit.add_inputs(4);
@@ -27,8 +27,8 @@ fn main() {
 
     // 2. Map it with and without mixed structural choices.
     let library = asap7_lite();
-    let baseline = asic_flow_baseline(&circuit, &library, MappingObjective::Balanced);
-    let mch = asic_flow_mch(&circuit, &library, &MchConfig::balanced());
+    let baseline = try_asic_flow_baseline(&circuit, &library, MappingObjective::Balanced)?;
+    let mch = try_asic_flow_mch(&circuit, &library, &MchConfig::balanced())?;
 
     println!(
         "baseline  : area {:8.3} um^2, delay {:7.2} ps, verified = {}",
@@ -43,4 +43,5 @@ fn main() {
         (baseline.area - mch.area) / baseline.area * 100.0,
         (baseline.delay - mch.delay) / baseline.delay * 100.0
     );
+    Ok(())
 }

@@ -17,7 +17,7 @@
 
 use mch::benchmarks::random_logic;
 use mch::choice::{build_mch, build_mch_with_stats, MchParams};
-use mch::core::{asic_flow_mch, lut_flow_mch, MchConfig};
+use mch::core::{try_asic_flow_mch, try_lut_flow_mch, FlowError, MchConfig};
 use mch::logic::{convert, Network, NetworkKind, NodeId, Prng};
 use mch::techlib::{asap7_lite, LutLibrary};
 
@@ -114,7 +114,7 @@ fn commit_heavy_builds_are_identical_across_thread_counts() {
 }
 
 #[test]
-fn commit_heavy_flows_are_identical_across_thread_counts() {
+fn commit_heavy_flows_are_identical_across_thread_counts() -> Result<(), FlowError> {
     // The same stress profile end to end: both technology-mapping flows over
     // a raised candidate cap must hand back identical netlists at every
     // thread count.
@@ -125,22 +125,22 @@ fn commit_heavy_flows_are_identical_across_thread_counts() {
         config.mch.max_candidates_per_node = 6;
         config.with_threads(threads)
     };
-    let asic_serial = asic_flow_mch(&net, &lib, &commit_heavy(MchConfig::area_oriented(), 1));
-    let lut_serial = lut_flow_mch(&net, &lut, &commit_heavy(MchConfig::lut_area(), 1));
+    let asic_serial = try_asic_flow_mch(&net, &lib, &commit_heavy(MchConfig::area_oriented(), 1))?;
+    let lut_serial = try_lut_flow_mch(&net, &lut, &commit_heavy(MchConfig::lut_area(), 1))?;
     assert!(asic_serial.verified && lut_serial.verified);
     for threads in THREAD_COUNTS {
-        let asic = asic_flow_mch(
+        let asic = try_asic_flow_mch(
             &net,
             &lib,
             &commit_heavy(MchConfig::area_oriented(), threads),
-        );
+        )?;
         assert_eq!(
             asic_serial.netlist, asic.netlist,
             "{threads}-thread commit-heavy ASIC flow diverged"
         );
         assert_eq!(asic_serial.area.to_bits(), asic.area.to_bits());
         assert_eq!(asic_serial.delay.to_bits(), asic.delay.to_bits());
-        let fpga = lut_flow_mch(&net, &lut, &commit_heavy(MchConfig::lut_area(), threads));
+        let fpga = try_lut_flow_mch(&net, &lut, &commit_heavy(MchConfig::lut_area(), threads))?;
         assert_eq!(
             lut_serial.netlist, fpga.netlist,
             "{threads}-thread commit-heavy LUT flow diverged"
@@ -150,23 +150,25 @@ fn commit_heavy_flows_are_identical_across_thread_counts() {
             (fpga.luts, fpga.levels)
         );
     }
+    Ok(())
 }
 
 #[test]
-fn full_flows_are_identical_across_thread_counts() {
+fn full_flows_are_identical_across_thread_counts() -> Result<(), FlowError> {
     let lib = asap7_lite();
     let lut = LutLibrary::k6();
     for i in 0..3 {
         let net = arbitrary_network(i);
-        let asic_serial = asic_flow_mch(&net, &lib, &MchConfig::area_oriented().with_threads(1));
-        let lut_serial = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1));
+        let asic_serial =
+            try_asic_flow_mch(&net, &lib, &MchConfig::area_oriented().with_threads(1))?;
+        let lut_serial = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1))?;
         assert!(asic_serial.verified && lut_serial.verified);
         for threads in THREAD_COUNTS {
-            let asic = asic_flow_mch(
+            let asic = try_asic_flow_mch(
                 &net,
                 &lib,
                 &MchConfig::area_oriented().with_threads(threads),
-            );
+            )?;
             assert_eq!(
                 asic_serial.netlist, asic.netlist,
                 "case {i}: {threads}-thread ASIC flow diverged"
@@ -177,7 +179,7 @@ fn full_flows_are_identical_across_thread_counts() {
                 asic.delay.to_bits(),
                 "case {i}"
             );
-            let fpga = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(threads));
+            let fpga = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(threads))?;
             assert_eq!(
                 lut_serial.netlist, fpga.netlist,
                 "case {i}: {threads}-thread LUT flow diverged"
@@ -188,21 +190,22 @@ fn full_flows_are_identical_across_thread_counts() {
             );
         }
     }
+    Ok(())
 }
 
 #[test]
-fn fused_flows_are_identical_across_thread_counts() {
+fn fused_flows_are_identical_across_thread_counts() -> Result<(), FlowError> {
     // The ASIC-guided fused LUT flow runs TWO cover problems per circuit, so
     // it has twice the surface for scheduling to leak into a result: the
     // guide cover's selection feeds candidate injection and ranking bias.
     // Every fusion mode must still be byte-identical at every thread count,
     // and Off must be byte-identical to the plain LUT flow.
-    use mch::core::{lut_flow_mch_fused, FusionMode};
+    use mch::core::{try_lut_flow_mch_fused, FusionMode};
     let lib = asap7_lite();
     let lut = LutLibrary::k6();
     for i in 0..3 {
         let net = arbitrary_network(i);
-        let plain_serial = lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1));
+        let plain_serial = try_lut_flow_mch(&net, &lut, &MchConfig::lut_area().with_threads(1))?;
         for mode in [
             FusionMode::Off,
             FusionMode::Bias,
@@ -214,7 +217,7 @@ fn fused_flows_are_identical_across_thread_counts() {
                     .with_fusion(mode)
                     .with_threads(threads)
             };
-            let serial = lut_flow_mch_fused(&net, &lut, &lib, &config(1));
+            let serial = try_lut_flow_mch_fused(&net, &lut, &lib, &config(1))?;
             assert!(serial.verified, "case {i} ({mode:?}): not equivalent");
             if mode == FusionMode::Off {
                 assert_eq!(
@@ -223,7 +226,7 @@ fn fused_flows_are_identical_across_thread_counts() {
                 );
             }
             for threads in THREAD_COUNTS {
-                let fused = lut_flow_mch_fused(&net, &lut, &lib, &config(threads));
+                let fused = try_lut_flow_mch_fused(&net, &lut, &lib, &config(threads))?;
                 assert_eq!(
                     serial.netlist, fused.netlist,
                     "case {i} ({mode:?}): {threads}-thread fused flow diverged"
@@ -236,6 +239,7 @@ fn fused_flows_are_identical_across_thread_counts() {
             }
         }
     }
+    Ok(())
 }
 
 #[test]

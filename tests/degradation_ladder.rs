@@ -173,7 +173,7 @@ fn unbreached_budget_changes_nothing() {
         .with_max_cut_arena_slots(usize::MAX)
         .with_max_resynthesis_candidates(usize::MAX);
     let config = MchConfig::lut_area();
-    let plain = mch::core::lut_flow_mch(&net, &lut, &config);
+    let plain = mch::core::try_lut_flow_mch(&net, &lut, &config).expect("plain flow failed");
     let budgeted = mch::core::try_lut_flow_mch_with_budget(&net, &lut, &config, &generous)
         .expect("generous budget must not fail");
     assert!(!budgeted.degradation.degraded());

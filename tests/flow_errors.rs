@@ -1,9 +1,7 @@
 //! Structured-error behaviour of the fallible flow entry points.
 //!
 //! Malformed networks and libraries must surface as `FlowError` values from
-//! every `try_*` flow, and the panicking convenience wrappers must panic
-//! with the same rendered message — never with an internal assertion ten
-//! frames deep.
+//! every `try_*` flow — never as an internal assertion ten frames deep.
 
 use mch::benchmarks::demo_adder_gt;
 use mch::core::{FlowError, Job, MappingService, MchConfig};
@@ -85,21 +83,6 @@ fn defective_libraries_are_rejected_with_context() {
     let err =
         mch::core::try_asic_flow_dch(&net, &inverted, MappingObjective::Balanced).unwrap_err();
     assert!(err.to_string().contains("monotone"), "got: {err}");
-}
-
-#[test]
-fn panicking_wrappers_render_the_structured_error() {
-    let n = outputless();
-    let lib = asap7_lite();
-    let caught = std::panic::catch_unwind(|| {
-        mch::core::asic_flow_mch(&n, &lib, &MchConfig::balanced());
-    })
-    .expect_err("the convenience wrapper must panic on invalid input");
-    let message = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(
-        message.contains("invalid network"),
-        "wrapper panic lost the structured message: {message}"
-    );
 }
 
 #[test]

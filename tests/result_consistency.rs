@@ -10,8 +10,8 @@
 
 use mch::benchmarks::benchmark;
 use mch::core::{
-    asic_flow_baseline, asic_flow_dch, asic_flow_mch, lut_flow_baseline, lut_flow_mch,
-    AsicFlowResult, LutFlowResult, MchConfig,
+    try_asic_flow_baseline, try_asic_flow_dch, try_asic_flow_mch, try_lut_flow_baseline,
+    try_lut_flow_mch, AsicFlowResult, FlowError, LutFlowResult, MchConfig,
 };
 use mch::mapper::{MappingObjective, NetRef};
 use mch::opt::compress2rs_like;
@@ -83,22 +83,22 @@ fn recompute_levels(result: &LutFlowResult) -> u32 {
 }
 
 #[test]
-fn asic_flow_results_match_their_netlists() {
+fn asic_flow_results_match_their_netlists() -> Result<(), FlowError> {
     let lib = asap7_lite();
     for name in ["int2float", "cavlc"] {
         let input = compress2rs_like(&benchmark(name).unwrap(), 1);
         let flows = [
-            asic_flow_baseline(&input, &lib, MappingObjective::Balanced),
-            asic_flow_baseline(&input, &lib, MappingObjective::Area),
-            asic_flow_dch(&input, &lib, MappingObjective::Balanced),
-            asic_flow_mch(&input, &lib, &MchConfig::balanced()),
-            asic_flow_mch(
+            try_asic_flow_baseline(&input, &lib, MappingObjective::Balanced)?,
+            try_asic_flow_baseline(&input, &lib, MappingObjective::Area)?,
+            try_asic_flow_dch(&input, &lib, MappingObjective::Balanced)?,
+            try_asic_flow_mch(&input, &lib, &MchConfig::balanced())?,
+            try_asic_flow_mch(
                 &input,
                 &lib,
                 &MchConfig::area_oriented()
                     .with_area_rounds(5)
                     .with_exact_area(true),
-            ),
+            )?,
         ];
         for f in &flows {
             assert!(f.verified, "{name}/{}: flow did not verify", f.flow);
@@ -125,24 +125,25 @@ fn asic_flow_results_match_their_netlists() {
             assert_eq!(f.netlist.delay(&lib).to_bits(), delay.to_bits());
         }
     }
+    Ok(())
 }
 
 #[test]
-fn lut_flow_results_match_their_netlists() {
+fn lut_flow_results_match_their_netlists() -> Result<(), FlowError> {
     let lut = LutLibrary::k6();
     for name in ["int2float", "dec"] {
         let input = compress2rs_like(&benchmark(name).unwrap(), 1);
         let flows = [
-            lut_flow_baseline(&input, &lut, MappingObjective::Area),
-            lut_flow_baseline(&input, &lut, MappingObjective::Delay),
-            lut_flow_mch(&input, &lut, &MchConfig::lut_area()),
-            lut_flow_mch(
+            try_lut_flow_baseline(&input, &lut, MappingObjective::Area)?,
+            try_lut_flow_baseline(&input, &lut, MappingObjective::Delay)?,
+            try_lut_flow_mch(&input, &lut, &MchConfig::lut_area())?,
+            try_lut_flow_mch(
                 &input,
                 &lut,
                 &MchConfig::lut_area()
                     .with_area_rounds(6)
                     .with_exact_area(true),
-            ),
+            )?,
         ];
         for f in &flows {
             assert!(f.verified, "{name}/{}: flow did not verify", f.flow);
@@ -161,4 +162,5 @@ fn lut_flow_results_match_their_netlists() {
             assert_eq!(f.netlist.level_count(), recompute_levels(f));
         }
     }
+    Ok(())
 }
